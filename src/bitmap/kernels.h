@@ -3,8 +3,8 @@
 // The hot loop of a query adds a per-token weight into a group-counter
 // array for every group present in that token's bitmap column (Equation
 // 2/4). Walking each column bit-by-bit through ForEach wastes the
-// container structure Roaring maintains; GroupCountAccumulator instead
-// lets each container kind use its natural batch shape:
+// container structure Roaring maintains; BatchGroupCountAccumulator
+// instead lets each container kind use its natural batch shape:
 //
 //   - array containers bulk-add into the counter array,
 //   - bitset containers scan words and add per set bit (no per-value
@@ -85,74 +85,6 @@ inline void ArrayAccumulate(const uint16_t* values, size_t n, uint32_t base,
   for (size_t i = 0; i < n; ++i) counts[base + values[i]] += weight;
 }
 
-/// \brief Weighted group-counter array with an O(1)-per-run side channel.
-///
-/// Usage: construct (or Reset) over the target counter vector, stream any
-/// number of columns through the AccumulateInto kernels, then call
-/// Finish() exactly once before reading the counters.
-class GroupCountAccumulator {
- public:
-  /// An unbound accumulator; call Reset before use. Default-constructible
-  /// so call sites can keep one thread_local instance and amortize the
-  /// difference-array allocation across queries.
-  GroupCountAccumulator() = default;
-
-  /// Binds the accumulator to `counts`, resizing it to `num_groups` zeros.
-  /// `counts` must outlive the accumulator.
-  GroupCountAccumulator(uint32_t num_groups, std::vector<uint32_t>* counts) {
-    Reset(num_groups, counts);
-  }
-
-  void Reset(uint32_t num_groups, std::vector<uint32_t>* counts) {
-    counts_ = counts;
-    counts_->assign(num_groups, 0);
-    // The difference array is kept all-zero between uses (Finish re-zeroes
-    // the entries it folds), so resets normally never re-clear it. A prior
-    // binding abandoned after AddRange without Finish() would leak its
-    // deltas into this use, so discard any it left behind.
-    if (has_ranges_) std::fill(diff_.begin(), diff_.end(), 0);
-    if (diff_.size() < static_cast<size_t>(num_groups) + 1) {
-      diff_.resize(static_cast<size_t>(num_groups) + 1, 0);
-    }
-    num_groups_ = num_groups;
-    has_ranges_ = false;
-  }
-
-  uint32_t num_groups() const { return num_groups_; }
-
-  /// Direct per-group adds (array and bitset kernels write here).
-  uint32_t* counts() { return counts_->data(); }
-
-  /// Adds `weight` to every group in [first, last] inclusive, in O(1).
-  void AddRange(uint32_t first, uint32_t last, uint32_t weight) {
-    diff_[first] += weight;
-    diff_[last + 1] -= weight;  // unsigned wrap-around is intentional
-    has_ranges_ = true;
-  }
-
-  /// Folds the pending ranges into the counter array, re-zeroing the
-  /// difference array as it goes. Call once per Reset, before reading the
-  /// counters.
-  void Finish() {
-    if (!has_ranges_) return;
-    uint32_t running = 0;
-    uint32_t* c = counts_->data();
-    for (uint32_t g = 0; g < num_groups_; ++g) {
-      running += diff_[g];
-      diff_[g] = 0;
-      c[g] += running;
-    }
-    diff_[num_groups_] = 0;  // AddRange(.., num_groups - 1, ..) writes here
-    has_ranges_ = false;
-  }
-
- private:
-  std::vector<uint32_t>* counts_ = nullptr;
-  std::vector<uint32_t> diff_;  // num_groups + 1 entries
-  uint32_t num_groups_ = 0;
-  bool has_ranges_ = false;
-};
-
 /// \brief One subscriber of a shared column walk: query row `query` wants
 /// this column's groups added with weight `weight` (the query's token
 /// multiplicity).
@@ -161,18 +93,21 @@ struct QueryWeight {
   uint32_t weight;
 };
 
-/// \brief Q-row variant of GroupCountAccumulator for batched probes.
+/// \brief Weighted Q x num_groups group-counter matrix with an
+/// O(1)-per-run side channel — the one group-count accumulator of the TGM
+/// probe (a single query is a one-row batch).
 ///
-/// Binds a row-major Q x num_groups counter matrix; each row follows the
-/// single-query accumulator's semantics exactly (same kernels, same
-/// difference-array fold), so row q of a batch equals what a solo
-/// GroupCountAccumulator run over query q's columns would produce. The
-/// batch walk decodes each referenced column once and fans it out to every
-/// subscribing row.
+/// Usage: Reset over the target counter vector, stream any number of
+/// columns through BitmapColumn::AccumulateIntoBatch, then call Finish()
+/// exactly once before reading the counters. Each row only ever sees its
+/// own subscriptions, so row q equals what a one-row run over query q's
+/// columns produces. The batch walk decodes each referenced column once
+/// and fans it out to every subscribing row.
 class BatchGroupCountAccumulator {
  public:
-  /// An unbound accumulator; call Reset before use (thread_local-friendly,
-  /// like GroupCountAccumulator).
+  /// An unbound accumulator; call Reset before use. Default-constructible
+  /// so call sites can keep one thread_local instance and amortize the
+  /// difference-matrix allocation across probes.
   BatchGroupCountAccumulator() = default;
 
   /// Binds to `counts`, resizing it to num_queries * num_groups zeros.
@@ -181,9 +116,10 @@ class BatchGroupCountAccumulator {
              std::vector<uint32_t>* counts) {
     counts_ = counts;
     counts_->assign(static_cast<size_t>(num_queries) * num_groups, 0);
-    // Same abandoned-binding discipline as GroupCountAccumulator::Reset:
-    // Finish re-zeroes folded entries, so the difference matrix is only
-    // dirty if a prior binding was dropped after AddRange without Finish.
+    // The difference matrix is kept all-zero between uses (Finish
+    // re-zeroes the entries it folds), so resets normally never re-clear
+    // it. A prior binding abandoned after AddRange without Finish() would
+    // leak its deltas into this use, so discard any it left behind.
     if (has_ranges_) std::fill(diff_.begin(), diff_.end(), 0);
     size_t diff_needed =
         static_cast<size_t>(num_queries) * (static_cast<size_t>(num_groups) + 1);

@@ -332,19 +332,11 @@ uint64_t Roaring::OrCardinality(const Roaring& other) const {
   return Cardinality() + other.Cardinality() - AndCardinality(other);
 }
 
-namespace {
-
-/// Container dispatch shared by both AccumulateInto overloads; only the
-/// run-container sink differs (difference array vs direct adds), supplied
-/// as run_fn(base, run).
-template <typename RunFn>
-void AccumulateContainers(const std::vector<uint16_t>& keys,
-                          const std::vector<Container>& containers,
-                          uint32_t* counts, size_t counts_size,
-                          uint32_t weight, RunFn&& run_fn) {
-  for (size_t i = 0; i < keys.size(); ++i) {
-    uint32_t base = static_cast<uint32_t>(keys[i]) << 16;
-    const Container& c = containers[i];
+void Roaring::AccumulateInto(uint32_t* counts, size_t counts_size,
+                             uint32_t weight) const {
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    uint32_t base = static_cast<uint32_t>(keys_[i]) << 16;
+    const Container& c = containers_[i];
     if (const auto* a = std::get_if<ArrayContainer>(&c)) {
       ArrayAccumulate(a->values.data(), a->values.size(), base, counts,
                       weight);
@@ -352,28 +344,7 @@ void AccumulateContainers(const std::vector<uint16_t>& keys,
       AccumulateWords(b->words.data(), b->words.size(), base, counts, weight,
                       counts_size);
     } else {
-      for (const auto& r : std::get<RunContainer>(c).runs) run_fn(base, r);
-    }
-  }
-}
-
-}  // namespace
-
-void Roaring::AccumulateInto(GroupCountAccumulator& acc,
-                             uint32_t weight) const {
-  AccumulateContainers(keys_, containers_, acc.counts(), acc.num_groups(),
-                       weight,
-                       [&](uint32_t base, const RunContainer::Run& r) {
-                         acc.AddRange(base + r.start,
-                                      base + r.start + r.length, weight);
-                       });
-}
-
-void Roaring::AccumulateInto(uint32_t* counts, size_t counts_size,
-                             uint32_t weight) const {
-  AccumulateContainers(
-      keys_, containers_, counts, counts_size, weight,
-      [&](uint32_t base, const RunContainer::Run& r) {
+      for (const auto& r : std::get<RunContainer>(c).runs) {
         // Counted loop, not `v <= last`: a run ending at value 0xFFFFFFFF
         // would wrap the inclusive bound and never terminate.
         uint32_t v = base + r.start;
@@ -381,7 +352,9 @@ void Roaring::AccumulateInto(uint32_t* counts, size_t counts_size,
           counts[v++] += weight;
           if (n == 0) break;
         }
-      });
+      }
+    }
+  }
 }
 
 void Roaring::AccumulateIntoBatch(BatchGroupCountAccumulator& acc,
@@ -389,8 +362,7 @@ void Roaring::AccumulateIntoBatch(BatchGroupCountAccumulator& acc,
                                   size_t num_subs) const {
   // Container-outer, subscriber-inner: each container's payload is decoded
   // (or its word span streamed) once per subscriber but resolved from the
-  // variant only once, and stays cache-hot across the fan-out. Each row
-  // sees the exact per-container kernel sequence of the solo walk.
+  // variant only once, and stays cache-hot across the fan-out.
   for (size_t i = 0; i < keys_.size(); ++i) {
     uint32_t base = static_cast<uint32_t>(keys_[i]) << 16;
     const Container& c = containers_[i];

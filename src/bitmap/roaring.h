@@ -31,7 +31,6 @@ class ByteReader;
 
 namespace bitmap {
 
-class GroupCountAccumulator;
 class BatchGroupCountAccumulator;
 struct QueryWeight;
 
@@ -89,26 +88,20 @@ class Roaring {
   /// |this AND other|.
   uint64_t AndCardinality(const Roaring& other) const;
 
-  /// \brief Batched accumulation kernel: adds `weight` to `acc` for every
-  /// value in this bitmap, container-at-a-time (see bitmap/kernels.h).
-  /// Array containers bulk-add, bitset containers scan words, run
-  /// containers post difference-array ranges in O(runs). Every value must
-  /// be < acc.num_groups().
-  void AccumulateInto(GroupCountAccumulator& acc, uint32_t weight) const;
-
-  /// Same kernel writing directly into a counter array of `counts_size`
-  /// entries (at least max-value+1); runs add per element. The size bounds
-  /// the vectorized bitset kernel's whole-word writes (bitmap/kernels.h).
-  /// Prefer the accumulator overload when folding several columns.
+  /// \brief Direct-array accumulation kernel: adds `weight` to
+  /// counts[v] for every value v, container-at-a-time (see
+  /// bitmap/kernels.h) — array containers bulk-add, bitset containers scan
+  /// words, runs add per element. `counts` has `counts_size` entries (at
+  /// least max-value+1); the size bounds the vectorized bitset kernel's
+  /// whole-word writes.
   void AccumulateInto(uint32_t* counts, size_t counts_size,
                       uint32_t weight) const;
 
-  /// \brief Fan-out accumulation for batched probes: decodes each container
+  /// \brief Fan-out accumulation for the TGM probe: decodes each container
   /// once and replays it into every subscriber's counter row with that
   /// subscriber's weight (subs[i].weight times into row subs[i].query).
-  /// Per-row arithmetic is identical to AccumulateInto(acc, weight), so
-  /// each row stays byte-exact versus a solo walk. Every value must be
-  /// < acc.num_groups(); every subs[i].query < acc.num_queries().
+  /// Run containers post difference-array ranges in O(runs). Every value
+  /// must be < acc.num_groups(); every subs[i].query < acc.num_queries().
   void AccumulateIntoBatch(BatchGroupCountAccumulator& acc,
                            const QueryWeight* subs, size_t num_subs) const;
 

@@ -1,5 +1,8 @@
 #include "persist/snapshot.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -769,12 +772,34 @@ Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
 
 Status WriteFileBytes(const std::string& path,
                       const std::vector<uint8_t>& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open for write: " + path);
+  // Write a sibling file and rename it over the target: a crash or a full
+  // disk mid-write leaves the previous file whole, since the rename is the
+  // only step that touches it and is atomic. The fsyncs make the new bytes
+  // and then the new directory entry durable before Save reports success.
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return Status::IOError("cannot open for write: " + tmp);
   bool ok = bytes.empty() ||
             std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  ok = ok && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
   if (std::fclose(f) != 0) ok = false;
-  if (!ok) return Status::IOError("short write: " + path);
+  if (!ok) {
+    std::remove(tmp.c_str());
+    return Status::IOError("short write: " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IOError("cannot rename " + tmp + " to " + path);
+  }
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0              ? "/"
+                                                    : path.substr(0, slash);
+  int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) return Status::IOError("cannot open directory: " + dir);
+  bool synced = ::fsync(dir_fd) == 0;
+  ::close(dir_fd);
+  if (!synced) return Status::IOError("cannot sync directory: " + dir);
   return Status::OK();
 }
 

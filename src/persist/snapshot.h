@@ -156,7 +156,10 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path);
 /// that corrupt snapshot bytes). IOError on open/read failure.
 Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out);
 
-/// Writes `bytes` to `path`; IOError on failure.
+/// Writes `bytes` to `path` crash-safely: the bytes go to `path.tmp`,
+/// which is synced and then renamed over `path`, and the directory is
+/// synced. On any failure the previous file at `path` is untouched, a temp
+/// file this call created is removed, and the result is IOError.
 Status WriteFileBytes(const std::string& path,
                       const std::vector<uint8_t>& bytes);
 

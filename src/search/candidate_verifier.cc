@@ -96,33 +96,6 @@ std::vector<Hit> CandidateVerifier::KnnFromCounts(
   return out;
 }
 
-std::vector<Hit> CandidateVerifier::Knn(SetView query, size_t k,
-                                        QueryStats* stats,
-                                        const GroupVisitFn& on_group) const {
-  WallTimer timer;
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = QueryStats();
-  if (k == 0) return {};
-
-  // A group with matched count 0 shares no token with the query, so every
-  // member has similarity exactly 0; such groups skip the bound heap
-  // entirely and only backfill the result when it underflows k. The empty
-  // query is the one exception (all counts are 0, yet empty sets have
-  // similarity 1), so it keeps every group as a candidate.
-  uint32_t min_count = query.size() == 0 ? 0 : 1;
-  std::vector<uint32_t> counts;
-  std::vector<GroupId> candidates;
-  stats->columns_scanned =
-      tgm_->MatchedCandidates(query, min_count, &counts, &candidates);
-
-  std::vector<Hit> out =
-      KnnFromCounts(query, k, min_count, counts.data(), candidates, stats,
-                    on_group);
-  stats->micros = timer.Micros();
-  return out;
-}
-
 std::vector<Hit> CandidateVerifier::RangeFromCounts(
     SetView query, double delta, const std::vector<GroupId>& candidates,
     QueryStats* stats, const GroupVisitFn& on_group) const {
@@ -165,32 +138,24 @@ std::vector<Hit> CandidateVerifier::RangeFromCounts(
   return out;
 }
 
+std::vector<Hit> CandidateVerifier::Knn(SetView query, size_t k,
+                                        QueryStats* stats,
+                                        const GroupVisitFn& on_group) const {
+  std::vector<std::vector<Hit>> hits;
+  std::vector<QueryStats> batch_stats;
+  KnnBatch(&query, 1, k, &hits, &batch_stats, on_group);
+  if (stats != nullptr) *stats = batch_stats[0];
+  return std::move(hits[0]);
+}
+
 std::vector<Hit> CandidateVerifier::Range(SetView query, double delta,
                                           QueryStats* stats,
                                           const GroupVisitFn& on_group) const {
-  WallTimer timer;
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = QueryStats();
-
-  // Least matched count any δ-result's group must reach; the TGM prunes
-  // groups below it during candidate generation (and short-circuits the
-  // whole scan when the query cannot attain it).
-  size_t min_count = MinOverlapForThreshold(measure_, query.size(), delta);
-  if (min_count > query.size()) {
-    // The threshold is unreachable even by an identical set.
-    stats->micros = timer.Micros();
-    return {};
-  }
-  std::vector<uint32_t> counts;
-  std::vector<GroupId> candidates;
-  stats->columns_scanned = tgm_->MatchedCandidates(
-      query, static_cast<uint32_t>(min_count), &counts, &candidates);
-
-  std::vector<Hit> out =
-      RangeFromCounts(query, delta, candidates, stats, on_group);
-  stats->micros = timer.Micros();
-  return out;
+  std::vector<std::vector<Hit>> hits;
+  std::vector<QueryStats> batch_stats;
+  RangeBatch(&query, 1, delta, &hits, &batch_stats, on_group);
+  if (stats != nullptr) *stats = batch_stats[0];
+  return std::move(hits[0]);
 }
 
 void CandidateVerifier::KnnBatch(const SetView* queries, size_t num_queries,
@@ -199,10 +164,14 @@ void CandidateVerifier::KnnBatch(const SetView* queries, size_t num_queries,
                                  const GroupVisitFn& on_group) const {
   hits->assign(num_queries, {});
   stats->assign(num_queries, QueryStats());
-  if (num_queries == 0 || k == 0) return;  // Knn(k == 0) returns {} with
-                                           // untouched stats
+  if (num_queries == 0 || k == 0) return;
 
   WallTimer probe_timer;
+  // A group with matched count 0 shares no token with the query, so every
+  // member has similarity exactly 0; such groups skip the bound heap
+  // entirely and only backfill the result when it underflows k. The empty
+  // query is the one exception (all counts are 0, yet empty sets have
+  // similarity 1), so it keeps every group as a candidate.
   std::vector<uint32_t> min_counts(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     min_counts[q] = queries[q].size() == 0 ? 0 : 1;
@@ -214,6 +183,7 @@ void CandidateVerifier::KnnBatch(const SetView* queries, size_t num_queries,
                                &counts, &candidates, &columns_visited);
   // The shared probe's cost is attributed evenly: it ran once for all Q
   // queries, and no per-query split of a fused column walk is meaningful.
+  // For a batch of one, micros is the query's measured wall time.
   const double probe_share = probe_timer.Micros() / num_queries;
 
   const uint32_t num_groups = tgm_->num_groups();
@@ -239,10 +209,12 @@ void CandidateVerifier::RangeBatch(const SetView* queries, size_t num_queries,
   if (num_queries == 0) return;
 
   WallTimer probe_timer;
-  // Per-query thresholds. A query whose threshold is unreachable even by
-  // an identical set skips probe and traversal entirely (the solo early
-  // return); its min_count still rides along as |Q| + 1, which the batch
-  // probe's attainable check rejects for free (attainable <= |Q|).
+  // Per-query thresholds: the least matched count any δ-result's group
+  // must reach; the TGM prunes groups below it during candidate
+  // generation. A query whose threshold is unreachable even by an
+  // identical set skips the traversal entirely; its min_count rides along
+  // as |Q| + 1, which the probe's attainable check rejects without
+  // touching a column (attainable <= |Q|).
   std::vector<uint32_t> min_counts(num_queries);
   std::vector<uint8_t> unreachable(num_queries, 0);
   for (size_t q = 0; q < num_queries; ++q) {

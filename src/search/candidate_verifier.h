@@ -2,9 +2,11 @@
 // every LES3-family engine (memory, disk, and each shard of the sharded
 // engine).
 //
-// The pipeline per query:
-//   1. Candidate generation: Tgm::MatchedCandidates computes every group's
-//      matched-token count in one fused pass and prunes groups below the
+// There is one pipeline, KnnBatch/RangeBatch; Knn/Range are batches of
+// one. Per batch, then per query:
+//   1. Candidate generation: Tgm::MatchedCandidatesBatch computes every
+//      group's matched-token count for the whole batch in one fused walk
+//      over the referenced columns and prunes groups below each query's
 //      threshold-implied minimum (Theorem 3.1).
 //   2. Group traversal: range queries visit every surviving group; kNN
 //      visits them in descending bound order off a binary heap and stops at
@@ -59,35 +61,36 @@ class CandidateVerifier {
                     SimilarityMeasure measure)
       : tgm_(tgm), db_(db), measure_(measure) {}
 
-  /// Exact kNN (Definition 2.1). Fills `stats` (ignored when null) and
-  /// returns hits sorted by HitOrder.
-  std::vector<Hit> Knn(SetView query, size_t k, QueryStats* stats,
-                       const GroupVisitFn& on_group = {}) const;
-
-  /// Exact range search (Definition 2.2).
-  std::vector<Hit> Range(SetView query, double delta, QueryStats* stats,
-                         const GroupVisitFn& on_group = {}) const;
-
-  /// \brief Batched exact kNN: one shared column-major TGM probe
-  /// (Tgm::MatchedCandidatesBatch) for the whole batch, then each query's
-  /// traversal unchanged over its own counter row, so hits[q] and stats[q]
-  /// are byte-identical to a solo Knn(queries[q], k) — micros aside: the
-  /// shared probe's wall time is split evenly across the batch and each
-  /// query adds its own traversal time.
+  /// \brief Batched exact kNN (Definition 2.1): one shared column-major
+  /// TGM probe (Tgm::MatchedCandidatesBatch) for the whole batch, then
+  /// each query's traversal over its own counter row. hits[q] is sorted by
+  /// HitOrder and, like every stats[q] counter except micros, does not
+  /// depend on the rest of the batch. stats[q].micros is the query's
+  /// traversal time plus an even share of the shared probe's wall time
+  /// (for a batch of one, the query's measured wall time).
   void KnnBatch(const SetView* queries, size_t num_queries, size_t k,
                 std::vector<std::vector<Hit>>* hits,
                 std::vector<QueryStats>* stats,
                 const GroupVisitFn& on_group = {}) const;
 
-  /// Batched exact range search; same exactness contract as KnnBatch.
+  /// Batched exact range search (Definition 2.2); same contract as
+  /// KnnBatch.
   void RangeBatch(const SetView* queries, size_t num_queries, double delta,
                   std::vector<std::vector<Hit>>* hits,
                   std::vector<QueryStats>* stats,
                   const GroupVisitFn& on_group = {}) const;
 
+  /// One-query KnnBatch. Fills `stats` (ignored when null).
+  std::vector<Hit> Knn(SetView query, size_t k, QueryStats* stats,
+                       const GroupVisitFn& on_group = {}) const;
+
+  /// One-query RangeBatch.
+  std::vector<Hit> Range(SetView query, double delta, QueryStats* stats,
+                         const GroupVisitFn& on_group = {}) const;
+
  private:
-  /// Steps 2-4 of the pipeline for one kNN query, off an already-computed
-  /// counter array (one row of a batch matrix, or a solo probe's counts).
+  /// Steps 2-4 of the pipeline for one kNN query, off its row of the
+  /// batch's counter matrix.
   /// Fills every stats field except columns_scanned and micros (the
   /// caller's probe owns those).
   std::vector<Hit> KnnFromCounts(SetView query, size_t k, uint32_t min_count,

@@ -2,7 +2,8 @@
 // TGM-indexed, group-partitioned database (paper Sections 3 and 6).
 //
 // Query processing is group-at-a-time and runs entirely through the shared
-// CandidateVerifier pipeline (search/candidate_verifier.h): the TGM yields
+// CandidateVerifier pipeline (search/candidate_verifier.h) — KnnBatch /
+// RangeBatch, with Knn / Range as batches of one: the TGM yields
 // an upper bound on the similarity between the query and every set of each
 // group in one pass; groups are then visited in bound order (kNN) or
 // bound-filtered (range), each visited group is narrowed to the members
@@ -60,22 +61,23 @@ class Les3Index {
             SimilarityMeasure measure);
 
   /// Exact kNN (Definition 2.1): the k most similar sets, sorted by
-  /// descending similarity (ties by ascending id). `on_group` (optional)
-  /// observes visited groups — see CandidateVerifier::GroupVisitFn.
+  /// descending similarity (ties by ascending id). A one-query KnnBatch.
+  /// `on_group` (optional) observes visited groups — see
+  /// CandidateVerifier::GroupVisitFn.
   std::vector<Hit> Knn(SetView query, size_t k, QueryStats* stats = nullptr,
                        const CandidateVerifier::GroupVisitFn& on_group = {})
       const;
 
   /// Exact range search (Definition 2.2): all sets with Sim >= delta,
-  /// sorted by descending similarity.
+  /// sorted by descending similarity. A one-query RangeBatch.
   std::vector<Hit> Range(SetView query, double delta,
                          QueryStats* stats = nullptr,
                          const CandidateVerifier::GroupVisitFn& on_group = {})
       const;
 
   /// \brief Batched exact kNN: one shared column-major TGM probe for all
-  /// queries (CandidateVerifier::KnnBatch), hits[q]/stats[q] byte-identical
-  /// to a solo Knn(queries[q], k) call.
+  /// queries (CandidateVerifier::KnnBatch); hits[q] and every stats[q]
+  /// counter but micros are independent of the rest of the batch.
   void KnnBatch(const SetView* queries, size_t num_queries, size_t k,
                 std::vector<std::vector<Hit>>* hits,
                 std::vector<QueryStats>* stats,

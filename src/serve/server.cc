@@ -588,9 +588,24 @@ bool Server::TryEnqueue(Work work) {
   return true;
 }
 
+template <typename Fn>
+auto Server::ReadEngine(const Fn& fn) -> decltype(fn()) {
+  if (engine_concurrent_insert_) return fn();
+  std::shared_lock<std::shared_mutex> lock(engine_mu_);
+  return fn();
+}
+
+template <typename Fn>
+auto Server::WriteEngine(const Fn& fn) -> decltype(fn()) {
+  if (engine_concurrent_insert_) return fn();
+  std::unique_lock<std::shared_mutex> lock(engine_mu_);
+  return fn();
+}
+
 void Server::ExecutorLoop() {
   for (;;) {
     std::vector<Work> group;
+    MsgType head_type = MsgType::kPing;  // set from the popped head below
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock,
@@ -603,17 +618,20 @@ void Server::ExecutorLoop() {
       // delta). Skipping incompatible entries is legal — replies are
       // matched by seq, and the executor pool already completes requests
       // out of order.
-      const Request& head = group.front().request;
+      // The head's key is copied: growing `group` moves its elements.
+      head_type = group.front().request.type;
+      const uint32_t head_k = group.front().request.k;
+      const double head_delta = group.front().request.delta;
       if (options_.batch_window > 1 &&
-          (head.type == MsgType::kKnn || head.type == MsgType::kRange)) {
+          (head_type == MsgType::kKnn || head_type == MsgType::kRange)) {
         for (auto it = queue_.begin();
              it != queue_.end() && group.size() < options_.batch_window;) {
           const Request& r = it->request;
           bool compatible =
-              r.type == head.type &&
-              (head.type == MsgType::kKnn
-                   ? r.k == head.k
-                   : std::memcmp(&r.delta, &head.delta, sizeof(double)) == 0);
+              r.type == head_type &&
+              (head_type == MsgType::kKnn
+                   ? r.k == head_k
+                   : std::memcmp(&r.delta, &head_delta, sizeof(double)) == 0);
           if (compatible) {
             group.push_back(std::move(*it));
             it = queue_.erase(it);
@@ -624,10 +642,10 @@ void Server::ExecutorLoop() {
       }
       active_requests_ += group.size();
     }
-    if (group.size() == 1) {
-      Execute(group.front());
+    if (head_type == MsgType::kKnn || head_type == MsgType::kRange) {
+      ExecuteBatch(&group);  // a lone request is a group of one
     } else {
-      ExecuteBatch(&group);
+      Execute(group.front());
     }
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
@@ -682,8 +700,8 @@ void Server::ExecuteBatch(std::vector<Work>* group) {
   const Request& head = group->front().request;
   const bool is_knn = head.type == MsgType::kKnn;
 
-  // Per-request prologue first, in queue order, so instrumentation and
-  // doomed requests behave exactly as on the solo path.
+  // Per-request prologue first, in queue order: instrumentation, then the
+  // deadline check, so a doomed request never costs engine work.
   if (options_.before_execute) {
     for (const Work& work : *group) options_.before_execute(work.request);
   }
@@ -717,57 +735,22 @@ void Server::ExecuteBatch(std::vector<Work>* group) {
     }
   }
 
-  // Cache phase: peel off the hits, collect the misses. The epoch is read
-  // BEFORE the engine runs (same protocol as CachedKnn/CachedRange) so a
-  // concurrent mutation invalidates what this batch writes back.
-  std::vector<std::string> keys(n);
-  std::vector<std::vector<Hit>> hits(n);
-  std::vector<size_t> miss;
+  std::vector<const SetRecord*> queries;
+  queries.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (done[i]) continue;
-    SetView query = (*group)[i].request.queries[0].view();
-    if (cache_ != nullptr) {
-      keys[i] = is_knn ? ResultCache::KnnKey(query, head.k)
-                       : ResultCache::RangeKey(query, head.delta);
-      if (auto cached = cache_->Get(keys[i])) {
-        hits[i] = *cached;
-        continue;
-      }
-    }
-    miss.push_back(i);
+    if (!done[i]) queries.push_back(&(*group)[i].request.queries[0]);
   }
-  if (!miss.empty()) {
-    uint64_t epoch = cache_ != nullptr ? cache_->epoch() : 0;
-    std::vector<SetRecord> queries;
-    queries.reserve(miss.size());
-    for (size_t i : miss) queries.push_back((*group)[i].request.queries[0]);
-    std::vector<api::QueryResult> answers;
-    if (engine_concurrent_insert_) {
-      answers = is_knn ? engine_->KnnBatch(queries, head.k)
-                       : engine_->RangeBatch(queries, head.delta);
-    } else {
-      std::shared_lock<std::shared_mutex> lock(engine_mu_);
-      answers = is_knn ? engine_->KnnBatch(queries, head.k)
-                       : engine_->RangeBatch(queries, head.delta);
-    }
-    for (size_t j = 0; j < miss.size(); ++j) {
-      size_t i = miss[j];
-      if (cache_ != nullptr) {
-        cache_->Put(keys[i],
-                    std::make_shared<const std::vector<Hit>>(answers[j].hits),
-                    epoch);
-      }
-      hits[i] = std::move(answers[j].hits);
-    }
-  }
+  std::vector<std::vector<Hit>> hits;
+  AnswerThroughCache(is_knn, head.k, head.delta, queries, &hits);
 
+  size_t answered = 0;
   for (size_t i = 0; i < n; ++i) {
     if (done[i]) continue;
     const Work& work = (*group)[i];
     Response response;
     response.seq = work.request.seq;
     response.status = WireStatus::kOk;
-    response.results.push_back(std::move(hits[i]));
+    response.results.push_back(std::move(hits[answered++]));
     ClampOversizedResponse(&response, work.request.type);
     persist::ByteWriter frame;
     EncodeResponse(response, work.request.type, &frame);
@@ -783,46 +766,48 @@ void Server::ExecuteBatch(std::vector<Work>* group) {
   }
 }
 
-std::vector<Hit> Server::CachedKnn(SetView query, size_t k) {
-  if (cache_ != nullptr) {
-    std::string key = ResultCache::KnnKey(query, k);
-    if (auto cached = cache_->Get(key)) return *cached;
-    uint64_t epoch = cache_->epoch();
-    api::QueryResult result;
-    if (engine_concurrent_insert_) {
-      result = engine_->Knn(query, k);
-    } else {
-      std::shared_lock<std::shared_mutex> lock(engine_mu_);
-      result = engine_->Knn(query, k);
+bool Server::AnswerThroughCache(bool is_knn, size_t k, double delta,
+                                const std::vector<const SetRecord*>& queries,
+                                std::vector<std::vector<Hit>>* results,
+                                const std::function<bool()>& before_engine) {
+  const size_t n = queries.size();
+  results->assign(n, {});
+  std::vector<std::string> keys(n);
+  std::vector<size_t> miss;
+  for (size_t i = 0; i < n; ++i) {
+    if (cache_ != nullptr) {
+      SetView query = queries[i]->view();
+      keys[i] = is_knn ? ResultCache::KnnKey(query, k)
+                       : ResultCache::RangeKey(query, delta);
+      if (auto cached = cache_->Get(keys[i])) {
+        (*results)[i] = *cached;
+        continue;
+      }
     }
-    cache_->Put(key,
-                std::make_shared<const std::vector<Hit>>(result.hits), epoch);
-    return std::move(result.hits);
+    miss.push_back(i);
   }
-  if (engine_concurrent_insert_) return engine_->Knn(query, k).hits;
-  std::shared_lock<std::shared_mutex> lock(engine_mu_);
-  return engine_->Knn(query, k).hits;
-}
-
-std::vector<Hit> Server::CachedRange(SetView query, double delta) {
-  if (cache_ != nullptr) {
-    std::string key = ResultCache::RangeKey(query, delta);
-    if (auto cached = cache_->Get(key)) return *cached;
-    uint64_t epoch = cache_->epoch();
-    api::QueryResult result;
-    if (engine_concurrent_insert_) {
-      result = engine_->Range(query, delta);
-    } else {
-      std::shared_lock<std::shared_mutex> lock(engine_mu_);
-      result = engine_->Range(query, delta);
+  if (miss.empty()) return true;
+  if (before_engine && !before_engine()) return false;
+  // The epoch is read BEFORE the engine runs, so a mutation completing
+  // meanwhile makes what this call writes back unreachable.
+  uint64_t epoch = cache_ != nullptr ? cache_->epoch() : 0;
+  std::vector<SetRecord> batch;
+  batch.reserve(miss.size());
+  for (size_t i : miss) batch.push_back(*queries[i]);
+  std::vector<api::QueryResult> answers = ReadEngine([&] {
+    return is_knn ? engine_->KnnBatch(batch, k)
+                  : engine_->RangeBatch(batch, delta);
+  });
+  for (size_t j = 0; j < miss.size(); ++j) {
+    size_t i = miss[j];
+    if (cache_ != nullptr) {
+      cache_->Put(keys[i],
+                  std::make_shared<const std::vector<Hit>>(answers[j].hits),
+                  epoch);
     }
-    cache_->Put(key,
-                std::make_shared<const std::vector<Hit>>(result.hits), epoch);
-    return std::move(result.hits);
+    (*results)[i] = std::move(answers[j].hits);
   }
-  if (engine_concurrent_insert_) return engine_->Range(query, delta).hits;
-  std::shared_lock<std::shared_mutex> lock(engine_mu_);
-  return engine_->Range(query, delta).hits;
+  return true;
 }
 
 Response Server::HandleRequest(
@@ -852,26 +837,15 @@ Response Server::HandleRequest(
       response.describe = std::move(describe);
       break;
     }
-    case MsgType::kKnn:
-      response.results.push_back(
-          CachedKnn(request.queries[0].view(), request.k));
-      break;
-    case MsgType::kRange:
-      response.results.push_back(
-          CachedRange(request.queries[0].view(), request.delta));
-      break;
+    case MsgType::kKnn:    // the executor loop sends these through
+    case MsgType::kRange:  // ExecuteBatch; answered alike here
     case MsgType::kKnnBatch:
     case MsgType::kRangeBatch:
       HandleWireBatch(request, arrival, &response);
       break;
     case MsgType::kInsert: {
-      Result<SetId> inserted = [&]() -> Result<SetId> {
-        if (engine_concurrent_insert_) {
-          return engine_->Insert(request.queries[0]);
-        }
-        std::unique_lock<std::shared_mutex> lock(engine_mu_);
-        return engine_->Insert(request.queries[0]);
-      }();
+      Result<SetId> inserted =
+          WriteEngine([&] { return engine_->Insert(request.queries[0]); });
       if (inserted.ok()) {
         // Bump AFTER the engine mutation: from here on, any entry cached
         // under an earlier epoch is unreachable (result_cache.h).
@@ -886,13 +860,8 @@ Response Server::HandleRequest(
     case MsgType::kDelete: {
       // Same locking and epoch protocol as kInsert: every mutation that
       // changes answers must make stale cache entries unreachable.
-      Status deleted = [&]() -> Status {
-        if (engine_concurrent_insert_) {
-          return engine_->Delete(request.target_id);
-        }
-        std::unique_lock<std::shared_mutex> lock(engine_mu_);
-        return engine_->Delete(request.target_id);
-      }();
+      Status deleted =
+          WriteEngine([&] { return engine_->Delete(request.target_id); });
       if (deleted.ok()) {
         if (cache_) cache_->BumpEpoch();
       } else {
@@ -902,13 +871,9 @@ Response Server::HandleRequest(
       break;
     }
     case MsgType::kUpdate: {
-      Status updated = [&]() -> Status {
-        if (engine_concurrent_insert_) {
-          return engine_->Update(request.target_id, request.queries[0]);
-        }
-        std::unique_lock<std::shared_mutex> lock(engine_mu_);
+      Status updated = WriteEngine([&] {
         return engine_->Update(request.target_id, request.queries[0]);
-      }();
+      });
       if (updated.ok()) {
         if (cache_) cache_->BumpEpoch();
       } else {
@@ -921,11 +886,7 @@ Response Server::HandleRequest(
       // Maintenance rewrites index internals, so on engines without the
       // concurrent-mutation contract it excludes queries like any write.
       Result<search::MaintenanceReport> report =
-          [&]() -> Result<search::MaintenanceReport> {
-        if (engine_concurrent_insert_) return engine_->MaintainNow();
-        std::unique_lock<std::shared_mutex> lock(engine_mu_);
-        return engine_->MaintainNow();
-      }();
+          WriteEngine([&] { return engine_->MaintainNow(); });
       if (report.ok()) {
         // No cache epoch bump: maintenance is exactness-preserving, so
         // every cached answer stays correct.
@@ -945,63 +906,25 @@ Response Server::HandleRequest(
 void Server::HandleWireBatch(const Request& request,
                              std::chrono::steady_clock::time_point arrival,
                              Response* response) {
-  const bool is_knn = request.type == MsgType::kKnnBatch;
-  const size_t n = request.queries.size();
-  auto expired = [&]() {
-    return request.deadline_ms > 0 &&
-           std::chrono::steady_clock::now() - arrival >=
+  const bool is_knn =
+      request.type == MsgType::kKnn || request.type == MsgType::kKnnBatch;
+  std::vector<const SetRecord*> queries;
+  queries.reserve(request.queries.size());
+  for (const SetRecord& query : request.queries) queries.push_back(&query);
+  // The budget is re-checked once between the cache phase and the engine
+  // call (the fused probe is all-or-nothing, so there is no per-query
+  // point to check at). Expiry voids the WHOLE response.
+  auto within_deadline = [&] {
+    return request.deadline_ms == 0 ||
+           std::chrono::steady_clock::now() - arrival <
                std::chrono::milliseconds(request.deadline_ms);
   };
-  auto deadline_response = [&]() {
+  if (!AnswerThroughCache(is_knn, request.k, request.delta, queries,
+                          &response->results, within_deadline)) {
     *response = Response{};
     response->status = WireStatus::kDeadlineExceeded;
     response->message = "deadline of " + std::to_string(request.deadline_ms) +
                         "ms expired mid-batch";
-  };
-  response->results.resize(n);
-  std::vector<std::string> keys(n);
-  std::vector<size_t> miss;
-  for (size_t i = 0; i < n; ++i) {
-    SetView query = request.queries[i].view();
-    if (cache_ != nullptr) {
-      keys[i] = is_knn ? ResultCache::KnnKey(query, request.k)
-                       : ResultCache::RangeKey(query, request.delta);
-      if (auto cached = cache_->Get(keys[i])) {
-        response->results[i] = *cached;
-        continue;
-      }
-    }
-    miss.push_back(i);
-  }
-  if (miss.empty()) return;
-  // The budget is re-checked once between the cache phase and the engine
-  // call (the fused probe is all-or-nothing, so there is no per-query
-  // point to check at). Expiry still voids the WHOLE response.
-  if (expired()) {
-    deadline_response();
-    return;
-  }
-  uint64_t epoch = cache_ != nullptr ? cache_->epoch() : 0;
-  std::vector<SetRecord> queries;
-  queries.reserve(miss.size());
-  for (size_t i : miss) queries.push_back(request.queries[i]);
-  std::vector<api::QueryResult> answers;
-  if (engine_concurrent_insert_) {
-    answers = is_knn ? engine_->KnnBatch(queries, request.k)
-                     : engine_->RangeBatch(queries, request.delta);
-  } else {
-    std::shared_lock<std::shared_mutex> lock(engine_mu_);
-    answers = is_knn ? engine_->KnnBatch(queries, request.k)
-                     : engine_->RangeBatch(queries, request.delta);
-  }
-  for (size_t j = 0; j < miss.size(); ++j) {
-    size_t i = miss[j];
-    if (cache_ != nullptr) {
-      cache_->Put(keys[i],
-                  std::make_shared<const std::vector<Hit>>(answers[j].hits),
-                  epoch);
-    }
-    response->results[i] = std::move(answers[j].hits);
   }
 }
 

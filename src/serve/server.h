@@ -7,8 +7,9 @@
 //   acceptor thread ── accept, round-robin ──► io workers (1 epoll each)
 //   io worker: reads frames, decodes, ADMISSION CONTROL, writes replies
 //   bounded pending queue ──► executor threads: DEADLINE CHECK, engine
-//   query (through the result cache), reply appended to the connection
-//   and the owning io worker woken via eventfd
+//   query (through the result cache; a lone kKnn/kRange is a coalesced
+//   group of one), reply appended to the connection and the owning io
+//   worker woken via eventfd
 //
 //  - Connection-per-worker: every connection is owned by exactly one io
 //    worker; only that worker reads or writes its socket, so no two
@@ -93,10 +94,10 @@ struct ServerOptions {
   /// kKnn/kRange request may drain up to batch_window-1 more COMPATIBLE
   /// pending requests (same type; equal k / bit-identical delta) from the
   /// queue and answer the whole group through ONE engine batch call — the
-  /// batched column probe amortizes the TGM walk across the group.
-  /// Replies stay per-request (each keeps its seq, deadline, cache entry,
-  /// and counters) and are byte-identical to sequential execution. 1
-  /// disables coalescing.
+  /// batched column probe amortizes the TGM walk across the group. A lone
+  /// request is a group of one on the same path. Replies stay per-request
+  /// (each keeps its seq, deadline, cache entry, and counters) and do not
+  /// depend on the grouping. 1 disables coalescing.
   size_t batch_window = 1;
 
   /// Test instrumentation. `before_execute` runs in the executor after a
@@ -179,24 +180,41 @@ class Server {
   /// False when the queue is full or the server is draining.
   bool TryEnqueue(Work work);
 
+  /// Executes every request type but kKnn/kRange.
   void Execute(const Work& work);
-  /// Answers a coalesced group of compatible kKnn/kRange requests through
-  /// one engine batch call (see ServerOptions::batch_window). Each
-  /// member's deadline, cache entry, counters, and reply are handled
-  /// individually, exactly as Execute would.
+  /// Answers a group of compatible kKnn/kRange requests — coalesced (see
+  /// ServerOptions::batch_window), or a lone request as a group of one —
+  /// through one AnswerThroughCache call. Each member's deadline,
+  /// counters, and reply are handled individually.
   void ExecuteBatch(std::vector<Work>* group);
   Response HandleRequest(const Request& request,
                          std::chrono::steady_clock::time_point arrival);
-  /// Answers a kKnnBatch/kRangeBatch body: cache hits peel off per query,
-  /// the misses run as ONE engine KnnBatch/RangeBatch, each miss's answer
-  /// is cached. Deadline expiry turns the whole response into
-  /// kDeadlineExceeded, as the sequential loop did.
+  /// Answers a kKnnBatch/kRangeBatch body through AnswerThroughCache.
+  /// Deadline expiry before the engine call turns the whole response into
+  /// kDeadlineExceeded.
   void HandleWireBatch(const Request& request,
                        std::chrono::steady_clock::time_point arrival,
                        Response* response);
-  /// One Knn/Range through the cache; `hits` receives a shared list.
-  std::vector<Hit> CachedKnn(SetView query, size_t k);
-  std::vector<Hit> CachedRange(SetView query, double delta);
+  /// \brief The one cache -> engine -> cache step behind every kNN/range
+  /// reply. All queries are kNN with `k` (is_knn) or range with `delta`.
+  /// Cache hits peel off per query, the misses run as ONE engine
+  /// KnnBatch/RangeBatch, and each miss's answer is cached under the
+  /// epoch read before the engine ran. `results` is resized to
+  /// queries.size(). `before_engine` (optional) runs between the cache
+  /// phase and the engine call, only when some query missed; if it
+  /// returns false the misses stay unanswered and this returns false.
+  bool AnswerThroughCache(bool is_knn, size_t k, double delta,
+                          const std::vector<const SetRecord*>& queries,
+                          std::vector<std::vector<Hit>>* results,
+                          const std::function<bool()>& before_engine = {});
+
+  /// Runs `fn` against the engine as a reader (queries) or a writer
+  /// (Insert/Delete/Update/MaintainNow): directly when the engine has the
+  /// concurrent-insert contract, else under engine_mu_ shared / exclusive.
+  template <typename Fn>
+  auto ReadEngine(const Fn& fn) -> decltype(fn());
+  template <typename Fn>
+  auto WriteEngine(const Fn& fn) -> decltype(fn());
 
   std::shared_ptr<api::SearchEngine> engine_;
   ServerOptions options_;

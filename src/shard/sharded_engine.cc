@@ -22,6 +22,13 @@ size_t HardwareThreads() {
 /// matrix stays cache-resident and chunks spread across the pool.
 constexpr size_t kBatchChunk = 64;
 
+std::vector<SetView> Views(const std::vector<SetRecord>& queries) {
+  std::vector<SetView> views;
+  views.reserve(queries.size());
+  for (const SetRecord& q : queries) views.push_back(q.view());
+  return views;
+}
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(std::shared_ptr<SetDatabase> db,
@@ -103,12 +110,6 @@ std::unique_ptr<ShardedEngine> ShardedEngine::Build(
         std::max(floor, build.cascade.pairs_per_model / num_shards);
   }
 
-  if (num_shards == 1) {
-    engine->shards_[0]->index = std::make_unique<search::Les3Index>(
-        search::BuildIndexOverShared(engine->shards_[0]->db, build));
-    engine->activities_[0]->Grow(engine->shards_[0]->index->tgm().num_groups());
-    return engine;
-  }
   ThreadPool build_pool(std::min(num_shards, hw));
   build_pool.ParallelFor(num_shards, [&](size_t s) {
     engine->shards_[s]->index = std::make_unique<search::Les3Index>(
@@ -134,51 +135,47 @@ std::unique_ptr<ShardedEngine> ShardedEngine::FromSnapshot(
   return engine;
 }
 
-ShardedEngine::Probe ShardedEngine::RunProbe(
-    size_t s, const std::function<std::vector<Hit>(
-                  const search::Les3Index&, search::QueryStats*)>& run) const {
-  Probe probe;
-  const Shard& sh = *shards_[s];
-  {
-    std::shared_lock<std::shared_mutex> lock(sh.mu);
-    probe.hits = run(*sh.index, &probe.stats);
-    probe.shard_size = sh.db->size();
-  }
-  const SetId stride = static_cast<SetId>(shards_.size());
-  if (stride > 1) {
-    for (Hit& h : probe.hits) {
-      h.first = h.first * stride + static_cast<SetId>(s);
+std::vector<ShardedEngine::Probe> ShardedEngine::Scatter(
+    const SetView* queries, size_t nq, const ShardBatchFn& run) const {
+  const size_t num_shards = shards_.size();
+  const size_t num_chunks = (nq + kBatchChunk - 1) / kBatchChunk;
+  std::vector<Probe> probes(nq * num_shards);
+  // One flat (chunk, shard) grid on ONE pool. Each cell is one fused
+  // batched probe (one column walk per chunk) under a single reader-lock
+  // acquisition; each shard still sees every chunk, so the grid keeps all
+  // cores busy even on few-shard engines.
+  pool().ParallelFor(num_chunks * num_shards, [&](size_t t) {
+    const size_t c = t / num_shards;
+    const size_t s = t % num_shards;
+    const size_t begin = c * kBatchChunk;
+    const size_t n = std::min(kBatchChunk, nq - begin);
+    std::vector<std::vector<Hit>> hits;
+    std::vector<search::QueryStats> stats;
+    uint64_t shard_size = 0;
+    const Shard& sh = *shards_[s];
+    {
+      std::shared_lock<std::shared_mutex> lock(sh.mu);
+      // The group-visit hook feeds the maintenance priorities: relaxed
+      // atomic adds under the shard reader lock, contention-free with
+      // other probes.
+      run(*sh.index, queries + begin, n, &hits, &stats,
+          [this, s](GroupId g, size_t candidates) {
+            activities_[s]->Observe(g, candidates);
+          });
+      shard_size = sh.db->size();
     }
-  }
-  return probe;
-}
-
-ShardedEngine::Probe ShardedEngine::ProbeKnn(size_t s, SetView query,
-                                             size_t k) const {
-  // The group-visit hook feeds the maintenance priorities: relaxed
-  // atomic adds under the shard reader lock, contention-free with other
-  // probes.
-  return RunProbe(s,
-                  [&](const search::Les3Index& index,
-                      search::QueryStats* stats) {
-                    return index.Knn(query, k, stats,
-                                     [this, s](GroupId g, size_t candidates) {
-                                       activities_[s]->Observe(g, candidates);
-                                     });
-                  });
-}
-
-ShardedEngine::Probe ShardedEngine::ProbeRange(size_t s,
-                                               SetView query,
-                                               double delta) const {
-  return RunProbe(s,
-                  [&](const search::Les3Index& index,
-                      search::QueryStats* stats) {
-                    return index.Range(query, delta, stats,
-                                       [this, s](GroupId g, size_t candidates) {
-                                         activities_[s]->Observe(g, candidates);
-                                       });
-                  });
+    for (size_t q = 0; q < n; ++q) {
+      Probe& p = probes[(begin + q) * num_shards + s];
+      p.hits = std::move(hits[q]);
+      p.stats = stats[q];
+      p.shard_size = shard_size;
+      for (Hit& h : p.hits) {
+        h.first = h.first * static_cast<SetId>(num_shards) +
+                  static_cast<SetId>(s);
+      }
+    }
+  });
+  return probes;
 }
 
 void ShardedEngine::AccumulateProbe(const Probe& probe,
@@ -194,13 +191,14 @@ void ShardedEngine::AccumulateProbe(const Probe& probe,
   *critical_path = std::max(*critical_path, probe.stats.micros);
 }
 
-api::QueryResult ShardedEngine::MergeKnn(std::vector<Probe> probes,
+api::QueryResult ShardedEngine::MergeKnn(const Probe* probes,
                                          size_t k) const {
   api::QueryResult out;
   TopKHits best(k);
   uint64_t db_size = 0;
   double critical_path = 0.0;
-  for (Probe& p : probes) {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const Probe& p = probes[s];
     // Every global top-k hit is a top-k hit of its own shard (fewer than
     // k shard-mates beat it under HitOrder), so offering the per-shard
     // top-k lists to one TopKHits reproduces the exact global answer —
@@ -219,11 +217,12 @@ api::QueryResult ShardedEngine::MergeKnn(std::vector<Probe> probes,
   return out;
 }
 
-api::QueryResult ShardedEngine::MergeRange(std::vector<Probe> probes) const {
+api::QueryResult ShardedEngine::MergeRange(const Probe* probes) const {
   api::QueryResult out;
   uint64_t db_size = 0;
   double critical_path = 0.0;
-  for (Probe& p : probes) {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const Probe& p = probes[s];
     out.hits.insert(out.hits.end(), p.hits.begin(), p.hits.end());
     AccumulateProbe(p, &out.stats, &db_size, &critical_path);
   }
@@ -235,17 +234,44 @@ api::QueryResult ShardedEngine::MergeRange(std::vector<Probe> probes) const {
   return out;
 }
 
+std::vector<api::QueryResult> ShardedEngine::KnnViews(const SetView* queries,
+                                                     size_t nq,
+                                                     size_t k) const {
+  std::vector<Probe> probes = Scatter(
+      queries, nq,
+      [k](const search::Les3Index& index, const SetView* views, size_t n,
+          std::vector<std::vector<Hit>>* hits,
+          std::vector<search::QueryStats>* stats,
+          const search::CandidateVerifier::GroupVisitFn& on_group) {
+        index.KnnBatch(views, n, k, hits, stats, on_group);
+      });
+  std::vector<api::QueryResult> results(nq);
+  for (size_t q = 0; q < nq; ++q) {
+    results[q] = MergeKnn(&probes[q * shards_.size()], k);
+  }
+  return results;
+}
+
+std::vector<api::QueryResult> ShardedEngine::RangeViews(
+    const SetView* queries, size_t nq, double delta) const {
+  std::vector<Probe> probes = Scatter(
+      queries, nq,
+      [delta](const search::Les3Index& index, const SetView* views, size_t n,
+              std::vector<std::vector<Hit>>* hits,
+              std::vector<search::QueryStats>* stats,
+              const search::CandidateVerifier::GroupVisitFn& on_group) {
+        index.RangeBatch(views, n, delta, hits, stats, on_group);
+      });
+  std::vector<api::QueryResult> results(nq);
+  for (size_t q = 0; q < nq; ++q) {
+    results[q] = MergeRange(&probes[q * shards_.size()]);
+  }
+  return results;
+}
+
 api::QueryResult ShardedEngine::Knn(SetView query, size_t k) const {
   WallTimer timer;
-  const size_t num_shards = shards_.size();
-  std::vector<Probe> probes(num_shards);
-  if (num_shards == 1) {
-    probes[0] = ProbeKnn(0, query, k);
-  } else {
-    pool().ParallelFor(num_shards,
-                       [&](size_t s) { probes[s] = ProbeKnn(s, query, k); });
-  }
-  api::QueryResult out = MergeKnn(std::move(probes), k);
+  api::QueryResult out = std::move(KnnViews(&query, 1, k)[0]);
   out.stats.micros = timer.Micros();
   return out;
 }
@@ -253,136 +279,21 @@ api::QueryResult ShardedEngine::Knn(SetView query, size_t k) const {
 api::QueryResult ShardedEngine::RangeImpl(SetView query,
                                           double delta) const {
   WallTimer timer;
-  const size_t num_shards = shards_.size();
-  std::vector<Probe> probes(num_shards);
-  if (num_shards == 1) {
-    probes[0] = ProbeRange(0, query, delta);
-  } else {
-    pool().ParallelFor(
-        num_shards, [&](size_t s) { probes[s] = ProbeRange(s, query, delta); });
-  }
-  api::QueryResult out = MergeRange(std::move(probes));
+  api::QueryResult out = std::move(RangeViews(&query, 1, delta)[0]);
   out.stats.micros = timer.Micros();
   return out;
 }
 
-void ShardedEngine::BatchProbeKnn(size_t s, const SetView* queries, size_t nq,
-                                  size_t k, Probe* out, size_t stride) const {
-  std::vector<std::vector<Hit>> hits;
-  std::vector<search::QueryStats> stats;
-  uint64_t shard_size = 0;
-  const Shard& sh = *shards_[s];
-  {
-    std::shared_lock<std::shared_mutex> lock(sh.mu);
-    sh.index->KnnBatch(queries, nq, k, &hits, &stats,
-                       [this, s](GroupId g, size_t candidates) {
-                         activities_[s]->Observe(g, candidates);
-                       });
-    shard_size = sh.db->size();
-  }
-  const SetId id_stride = static_cast<SetId>(shards_.size());
-  for (size_t q = 0; q < nq; ++q) {
-    Probe& p = out[q * stride];
-    p.hits = std::move(hits[q]);
-    p.stats = stats[q];
-    p.shard_size = shard_size;
-    if (id_stride > 1) {
-      for (Hit& h : p.hits) {
-        h.first = h.first * id_stride + static_cast<SetId>(s);
-      }
-    }
-  }
-}
-
-void ShardedEngine::BatchProbeRange(size_t s, const SetView* queries,
-                                    size_t nq, double delta, Probe* out,
-                                    size_t stride) const {
-  std::vector<std::vector<Hit>> hits;
-  std::vector<search::QueryStats> stats;
-  uint64_t shard_size = 0;
-  const Shard& sh = *shards_[s];
-  {
-    std::shared_lock<std::shared_mutex> lock(sh.mu);
-    sh.index->RangeBatch(queries, nq, delta, &hits, &stats,
-                         [this, s](GroupId g, size_t candidates) {
-                           activities_[s]->Observe(g, candidates);
-                         });
-    shard_size = sh.db->size();
-  }
-  const SetId id_stride = static_cast<SetId>(shards_.size());
-  for (size_t q = 0; q < nq; ++q) {
-    Probe& p = out[q * stride];
-    p.hits = std::move(hits[q]);
-    p.stats = stats[q];
-    p.shard_size = shard_size;
-    if (id_stride > 1) {
-      for (Hit& h : p.hits) {
-        h.first = h.first * id_stride + static_cast<SetId>(s);
-      }
-    }
-  }
-}
-
 std::vector<api::QueryResult> ShardedEngine::KnnBatch(
     const std::vector<SetRecord>& queries, size_t k) const {
-  const size_t num_shards = shards_.size();
-  const size_t nq = queries.size();
-  std::vector<api::QueryResult> results(nq);
-  if (nq == 0) return results;
-  // One flat (chunk, shard) grid on ONE pool — the base-class batch path
-  // would call Knn from inside a pool task, which would Submit to (and
-  // Wait on) the pool it runs on: a deadlock, not just a slowdown. Each
-  // task is one fused batched probe (one column walk per chunk), the
-  // tentpole's whole point; each shard still sees every chunk, so the
-  // grid keeps all cores busy even on few-shard engines.
-  std::vector<SetView> views;
-  views.reserve(nq);
-  for (const SetRecord& q : queries) views.push_back(q.view());
-  const size_t num_chunks = (nq + kBatchChunk - 1) / kBatchChunk;
-  std::vector<Probe> probes(nq * num_shards);
-  pool().ParallelFor(num_chunks * num_shards, [&](size_t t) {
-    const size_t c = t / num_shards;
-    const size_t s = t % num_shards;
-    const size_t begin = c * kBatchChunk;
-    const size_t n = std::min(kBatchChunk, nq - begin);
-    BatchProbeKnn(s, views.data() + begin, n, k,
-                  &probes[begin * num_shards + s], num_shards);
-  });
-  for (size_t q = 0; q < nq; ++q) {
-    std::vector<Probe> per(
-        std::make_move_iterator(probes.begin() + q * num_shards),
-        std::make_move_iterator(probes.begin() + (q + 1) * num_shards));
-    results[q] = MergeKnn(std::move(per), k);
-  }
-  return results;
+  std::vector<SetView> views = Views(queries);
+  return KnnViews(views.data(), views.size(), k);
 }
 
 std::vector<api::QueryResult> ShardedEngine::RangeBatchImpl(
     const std::vector<SetRecord>& queries, double delta) const {
-  const size_t num_shards = shards_.size();
-  const size_t nq = queries.size();
-  std::vector<api::QueryResult> results(nq);
-  if (nq == 0) return results;
-  std::vector<SetView> views;
-  views.reserve(nq);
-  for (const SetRecord& q : queries) views.push_back(q.view());
-  const size_t num_chunks = (nq + kBatchChunk - 1) / kBatchChunk;
-  std::vector<Probe> probes(nq * num_shards);
-  pool().ParallelFor(num_chunks * num_shards, [&](size_t t) {
-    const size_t c = t / num_shards;
-    const size_t s = t % num_shards;
-    const size_t begin = c * kBatchChunk;
-    const size_t n = std::min(kBatchChunk, nq - begin);
-    BatchProbeRange(s, views.data() + begin, n, delta,
-                    &probes[begin * num_shards + s], num_shards);
-  });
-  for (size_t q = 0; q < nq; ++q) {
-    std::vector<Probe> per(
-        std::make_move_iterator(probes.begin() + q * num_shards),
-        std::make_move_iterator(probes.begin() + (q + 1) * num_shards));
-    results[q] = MergeRange(std::move(per));
-  }
-  return results;
+  std::vector<SetView> views = Views(queries);
+  return RangeViews(views.data(), views.size(), delta);
 }
 
 Result<SetId> ShardedEngine::Insert(SetRecord set) {
@@ -397,7 +308,7 @@ Result<SetId> ShardedEngine::Insert(SetRecord set) {
   std::unique_lock<std::shared_mutex> shard_lock(sh.mu);
   // With one shard the slice is the global database and the index insert
   // below is the single append.
-  if (num_shards > 1) global_db_->AddSet(set);
+  if (sh.db != global_db_) global_db_->AddSet(set);
   SetId local = sh.index->Insert(std::move(set));
   // The arithmetic mapping stays closed under inserts: the new local id
   // is exactly gid / num_shards.
@@ -415,19 +326,13 @@ Status ShardedEngine::Delete(SetId id) {
   }
   Shard& sh = *shards_[id % num_shards];
   std::unique_lock<std::shared_mutex> shard_lock(sh.mu);
-  if (num_shards == 1) {
-    // The slice IS the global database; the index delete tombstones both.
-    if (!sh.index->Delete(id)) {
-      return Status::Internal("shard delete failed for id " +
-                              std::to_string(id));
-    }
-    return Status::OK();
-  }
   if (!sh.index->Delete(id / num_shards)) {
     return Status::Internal("shard delete failed for id " +
                             std::to_string(id));
   }
-  global_db_->DeleteSet(id);
+  // With one shard the slice IS the global database, which the index
+  // delete has already tombstoned.
+  if (sh.db != global_db_) global_db_->DeleteSet(id);
   return Status::OK();
 }
 
@@ -439,9 +344,8 @@ Status ShardedEngine::Update(SetId id, SetRecord set) {
   }
   Shard& sh = *shards_[id % num_shards];
   std::unique_lock<std::shared_mutex> shard_lock(sh.mu);
-  if (num_shards > 1) global_db_->ReplaceSet(id, set);
-  const SetId local = num_shards == 1 ? id : id / num_shards;
-  if (!sh.index->Update(local, std::move(set))) {
+  if (sh.db != global_db_) global_db_->ReplaceSet(id, set);
+  if (!sh.index->Update(id / num_shards, std::move(set))) {
     return Status::Internal("shard update failed for id " +
                             std::to_string(id));
   }

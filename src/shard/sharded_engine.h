@@ -8,11 +8,13 @@
 //  - Build: the database is split by `id mod num_shards` and every shard
 //    trains its own L2P cascade and builds its own TGM **in parallel** on
 //    a thread pool, so the Figure 7 bottleneck scales with cores.
-//  - Queries: Knn scatter-gathers — every shard answers its local top-k,
-//    and the per-shard results merge through TopKHits under the canonical
-//    HitOrder, so the global answer is exact (ids, similarities, order,
-//    ties included) even when a shard holds fewer than k sets. Range
-//    concatenates the per-shard exact answers and re-sorts.
+//  - Queries: every query entry point runs one (chunk, shard) scatter
+//    grid (a single query is a batch of one) — every shard answers its
+//    local top-k, and the per-shard results merge through TopKHits under
+//    the canonical HitOrder, so the global answer is exact (ids,
+//    similarities, order, ties included) even when a shard holds fewer
+//    than k sets. Range concatenates the per-shard exact answers and
+//    re-sorts.
 //  - Mutations: Insert/Delete/Update route to exactly one shard, taking
 //    that shard's writer lock only — queries on every shard (including
 //    the one being written, via its std::shared_mutex) stay safe
@@ -71,8 +73,8 @@ class ShardedEngine : public api::SearchEngine {
   static std::unique_ptr<ShardedEngine> FromSnapshot(
       persist::LoadedSnapshot snapshot, const api::OpenOptions& options);
 
-  /// Exact global kNN by scatter-gather (see file comment). Safe
-  /// concurrently with Insert.
+  /// Exact global kNN: the scatter grid with one query (see KnnBatch),
+  /// stats.micros the measured wall time. Safe concurrently with Insert.
   api::QueryResult Knn(SetView query, size_t k) const override;
 
   /// Batch queries stripe (chunk, shard) sub-batches across ONE thread
@@ -80,7 +82,8 @@ class ShardedEngine : public api::SearchEngine {
   /// a whole chunk in one fused Les3Index::KnnBatch call under a single
   /// reader-lock acquisition — one batched column probe per (shard,
   /// chunk) instead of one task per (query, shard). Results are merged
-  /// per query exactly as the single-query scatter-gather does.
+  /// per query through TopKHits. stats.micros is the slowest shard's
+  /// share (the scatter-gather critical path).
   std::vector<api::QueryResult> KnnBatch(const std::vector<SetRecord>& queries,
                                          size_t k) const override;
 
@@ -143,9 +146,10 @@ class ShardedEngine : public api::SearchEngine {
   }
 
  protected:
-  /// Exact global range search: per-shard exact answers, concatenated and
-  /// re-sorted under HitOrder. Safe concurrently with Insert. (Backend
-  /// hook of the validating api::SearchEngine::Range template method.)
+  /// Exact global range search: the scatter grid with one query,
+  /// per-shard exact answers concatenated and re-sorted under HitOrder.
+  /// Safe concurrently with Insert. (Backend hook of the validating
+  /// api::SearchEngine::Range template method.)
   api::QueryResult RangeImpl(SetView query, double delta) const override;
 
   /// Stripes (chunk, shard) sub-batches across ONE thread pool, like
@@ -181,31 +185,37 @@ class ShardedEngine : public api::SearchEngine {
   static std::vector<std::shared_ptr<SetDatabase>> SplitDb(
       const std::shared_ptr<SetDatabase>& db, size_t num_shards);
 
-  /// Runs `run` against shard s's index under its reader lock, then maps
-  /// the returned hits to global ids — the one place the locking protocol
-  /// and the id mapping live.
-  Probe RunProbe(size_t s,
-                 const std::function<std::vector<Hit>(
-                     const search::Les3Index&, search::QueryStats*)>& run)
-      const;
-  Probe ProbeKnn(size_t s, SetView query, size_t k) const;
-  Probe ProbeRange(size_t s, SetView query, double delta) const;
+  /// One shard's batch entry: Les3Index::KnnBatch or RangeBatch with the
+  /// query parameter bound.
+  using ShardBatchFn = std::function<void(
+      const search::Les3Index&, const SetView*, size_t,
+      std::vector<std::vector<Hit>>*, std::vector<search::QueryStats>*,
+      const search::CandidateVerifier::GroupVisitFn&)>;
 
-  /// \brief One fused sub-batch probe: shard `s` answers all `nq` queries
-  /// through the index's batched pipeline under ONE reader-lock
-  /// acquisition, writing query q's probe (hits mapped to global ids) to
-  /// out[q * stride]. Byte-identical per query to ProbeKnn/ProbeRange.
-  void BatchProbeKnn(size_t s, const SetView* queries, size_t nq, size_t k,
-                     Probe* out, size_t stride) const;
-  void BatchProbeRange(size_t s, const SetView* queries, size_t nq,
-                       double delta, Probe* out, size_t stride) const;
+  /// \brief The scatter grid behind every query entry point: cuts the `nq`
+  /// queries into fixed-size chunks and runs each (chunk, shard) cell as
+  /// ONE `run` call on that shard under a single reader-lock acquisition,
+  /// striped across the engine pool (a one-cell grid — one query, one
+  /// shard — runs on the caller). Returns nq * num_shards probes, query
+  /// q's from shard s at [q * num_shards + s], hits mapped to global ids —
+  /// the one place the locking protocol and the id mapping live.
+  std::vector<Probe> Scatter(const SetView* queries, size_t nq,
+                             const ShardBatchFn& run) const;
+
+  /// Scatter + per-query merge, shared by the single-query and batch
+  /// entry points.
+  std::vector<api::QueryResult> KnnViews(const SetView* queries, size_t nq,
+                                         size_t k) const;
+  std::vector<api::QueryResult> RangeViews(const SetView* queries, size_t nq,
+                                           double delta) const;
 
   /// Sums one probe's counters into `stats` and tracks the whole-database
   /// size and the slowest probe (the scatter-gather critical path).
   static void AccumulateProbe(const Probe& probe, search::QueryStats* stats,
                               uint64_t* db_size, double* critical_path);
-  api::QueryResult MergeKnn(std::vector<Probe> probes, size_t k) const;
-  api::QueryResult MergeRange(std::vector<Probe> probes) const;
+  /// Merge one query's num_shards() probes (contiguous from `probes`).
+  api::QueryResult MergeKnn(const Probe* probes, size_t k) const;
+  api::QueryResult MergeRange(const Probe* probes) const;
 
   /// One bounded maintenance cycle on shard `s`, under its writer lock.
   search::MaintenanceReport MaintainShard(size_t s);

@@ -88,49 +88,21 @@ Tgm::MemberWindow Tgm::MembersInSizeWindow(GroupId g, size_t size_lo,
 }
 
 size_t Tgm::MatchedCounts(SetView query, std::vector<uint32_t>* counts) const {
-  // One accumulator per thread: its difference array is all-zero between
-  // uses and carries no index-specific state, so reusing it only saves the
-  // per-query allocation (batch queries run on a thread pool, so this must
-  // not be a member of the const Tgm).
-  static thread_local bitmap::GroupCountAccumulator acc;
-  acc.Reset(num_groups(), counts);
-  size_t columns_visited = 0;
-  ForEachTokenMultiplicity(query, [&](TokenId t, uint32_t m) {
-    if (t >= columns_.size()) return;  // token outside T: M[*, t] = 0
-    const bitmap::BitmapColumn& col = columns_[t];
-    if (col.Empty()) return;
-    ++columns_visited;
-    col.AccumulateInto(acc, m);
-  });
-  acc.Finish();
-  return columns_visited;
+  std::vector<size_t> columns_visited;
+  MatchedCandidatesBatch(&query, 1, /*min_counts=*/nullptr, counts,
+                         /*candidates=*/nullptr, &columns_visited);
+  return columns_visited[0];
 }
 
 size_t Tgm::MatchedCandidates(SetView query, uint32_t min_count,
                               std::vector<uint32_t>* counts,
                               std::vector<GroupId>* candidates) const {
-  candidates->clear();
-  // Short-circuit: if even a group containing every query token cannot
-  // attain min_count, no column scan can produce a candidate.
-  if (min_count > 0) {
-    uint32_t attainable = 0;
-    ForEachTokenMultiplicity(query, [&](TokenId t, uint32_t m) {
-      if (t < columns_.size() && !columns_[t].Empty()) attainable += m;
-    });
-    if (attainable < min_count) {
-      counts->assign(num_groups(), 0);
-      return 0;
-    }
-  }
-  size_t visited = MatchedCounts(query, counts);
-  // Harvest: groups below min_count can no longer reach the bound (all
-  // columns are folded in), so they are pruned without ever computing an
-  // upper bound or entering the search frontier.
-  candidates->reserve(counts->size());
-  for (GroupId g = 0; g < counts->size(); ++g) {
-    if ((*counts)[g] >= min_count) candidates->push_back(g);
-  }
-  return visited;
+  std::vector<std::vector<GroupId>> rows;
+  std::vector<size_t> columns_visited;
+  MatchedCandidatesBatch(&query, 1, &min_count, counts, &rows,
+                         &columns_visited);
+  *candidates = std::move(rows[0]);
+  return columns_visited[0];
 }
 
 namespace {
@@ -149,9 +121,10 @@ size_t Tgm::MatchedCandidatesBatch(
     const SetView* queries, size_t num_queries, const uint32_t* min_counts,
     std::vector<uint32_t>* counts, std::vector<std::vector<GroupId>>* candidates,
     std::vector<size_t>* columns_visited) const {
-  // Thread-local scratch mirrors MatchedCounts: the plan, fan-out buffer
-  // and accumulator carry no index-specific state between uses, so reuse
-  // only amortizes allocations across batches on pool threads.
+  // The plan, fan-out buffer and accumulator carry no index-specific
+  // state between uses, so one instance per thread only amortizes
+  // allocations across probes (queries run on pool and executor threads,
+  // so this scratch must not be a member of the const Tgm).
   static thread_local bitmap::BatchGroupCountAccumulator acc;
   static thread_local std::vector<TokenSubscriber> plan;
   static thread_local std::vector<bitmap::QueryWeight> fan;
@@ -159,9 +132,11 @@ size_t Tgm::MatchedCandidatesBatch(
   const uint32_t nq = static_cast<uint32_t>(num_queries);
   columns_visited->assign(num_queries, 0);
 
-  // Invert: per query, the same canonicalization loop as the solo path.
-  // Queries whose attainable count cannot reach their threshold subscribe
-  // to nothing (the solo short-circuit), leaving an all-zero row.
+  // Invert: canonicalize each query into (token, multiplicity)
+  // subscriptions. Short-circuit: a query whose attainable count (summed
+  // multiplicity of its tokens with non-empty columns) cannot reach its
+  // threshold subscribes to nothing, leaving an all-zero row — no column
+  // scan could produce a candidate for it.
   plan.clear();
   for (uint32_t q = 0; q < nq; ++q) {
     if (min_counts != nullptr && min_counts[q] > 0) {
@@ -179,9 +154,9 @@ size_t Tgm::MatchedCandidatesBatch(
     });
   }
   // Group subscribers by column; query order within a column keeps each
-  // row's kernel sequence identical to its solo walk (the sums are exact
-  // integers, so any order would do — identical order just makes the
-  // byte-exactness argument trivial).
+  // row's kernel sequence identical to a one-query walk (the sums are
+  // exact integers, so any order would do — identical order just makes
+  // the batch-size-independence argument trivial).
   std::sort(plan.begin(), plan.end(),
             [](const TokenSubscriber& a, const TokenSubscriber& b) {
               return a.token != b.token ? a.token < b.token
@@ -209,10 +184,12 @@ size_t Tgm::MatchedCandidatesBatch(
     for (uint32_t q = 0; q < nq; ++q) {
       const uint32_t min_count = min_counts != nullptr ? min_counts[q] : 0;
       const uint32_t* row = rows + static_cast<size_t>(q) * num_groups();
-      // Hopeless queries harvested nothing on the solo path either: their
-      // short-circuit returns before the harvest loop. (With min_count > 0,
-      // zero columns visited can only mean the attainable check failed.)
+      // Hopeless queries harvest nothing. (With min_count > 0, zero columns
+      // visited can only mean the attainable check failed.)
       if (min_count > 0 && (*columns_visited)[q] == 0) continue;
+      // Harvest: groups below min_count can no longer reach the bound (all
+      // columns are folded in), so they are pruned without ever computing
+      // an upper bound or entering the search frontier.
       auto& out = (*candidates)[q];
       out.reserve(num_groups());
       for (GroupId g = 0; g < num_groups(); ++g) {
@@ -221,14 +198,6 @@ size_t Tgm::MatchedCandidatesBatch(
     }
   }
   return distinct_columns;
-}
-
-size_t Tgm::MatchedCountsBatch(const SetView* queries, size_t num_queries,
-                               std::vector<uint32_t>* counts,
-                               std::vector<size_t>* columns_visited) const {
-  return MatchedCandidatesBatch(queries, num_queries, /*min_counts=*/nullptr,
-                                counts, /*candidates=*/nullptr,
-                                columns_visited);
 }
 
 void Tgm::BackfillZeroCountGroups(const std::vector<uint32_t>& counts,

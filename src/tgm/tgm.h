@@ -7,7 +7,9 @@
 // O(n |Q|) for sparse data). Columns live behind BitmapColumn, so one index
 // can choose compressed Roaring storage or flat BitVector rows; either way
 // the query pass runs the container-aware batch kernels of
-// bitmap/kernels.h rather than per-bit iteration.
+// bitmap/kernels.h rather than per-bit iteration. There is one probe,
+// MatchedCandidatesBatch: a batch of queries shares one walk over the
+// columns they reference, and a single query is a batch of one.
 //
 // Group membership lists are kept alongside so the search layer can verify
 // candidates group-at-a-time. Members are ordered by (set size, id) with a
@@ -120,47 +122,41 @@ class Tgm {
   /// disk backends feed to DiskLayout::GroupContiguous on reload).
   const std::vector<GroupId>& group_assignment() const { return group_of_; }
 
-  /// \brief Fills `counts[g]` with Σ_{t in Q} M[g, t] (query multiplicity
-  /// counted, per Equation 2/4), fusing all query-token columns into the
-  /// one counter array through the batched kernels. `counts` is resized to
-  /// num_groups(). Returns the number of non-empty token columns visited.
-  size_t MatchedCounts(SetView query, std::vector<uint32_t>* counts) const;
-
-  /// \brief Threshold-aware MatchedCounts: additionally fills `candidates`
-  /// with the groups whose count reached `min_count` (ascending GroupId).
-  /// Short-circuits without touching any column when even a group matching
-  /// every query token could not reach `min_count` — i.e. when the total
-  /// attainable count (summed multiplicity of query tokens with non-empty
-  /// columns) falls below it — and skips hopeless groups during the
-  /// harvest. With min_count == 0 every group is a candidate.
-  size_t MatchedCandidates(SetView query, uint32_t min_count,
-                           std::vector<uint32_t>* counts,
-                           std::vector<GroupId>* candidates) const;
-
-  /// \brief Batched MatchedCounts over `num_queries` canonicalized queries:
-  /// inverts the batch into a token -> subscriber plan and walks each
-  /// referenced column once, fanning its decoded containers out to every
-  /// subscribing query's counter row. `counts` is resized to
-  /// num_queries * num_groups() (row-major; row q is query q's counter
-  /// array, byte-identical to a solo MatchedCounts run).
-  /// `columns_visited` is resized to the per-query non-empty column counts
-  /// (the solo MatchedCounts return values). Returns the number of
-  /// *distinct* columns walked — the work the batch actually did.
-  size_t MatchedCountsBatch(const SetView* queries, size_t num_queries,
-                            std::vector<uint32_t>* counts,
-                            std::vector<size_t>* columns_visited) const;
-
-  /// \brief Batched MatchedCandidates: per-query thresholds in
-  /// `min_counts[0 .. num_queries)`. Queries whose attainable count falls
-  /// below their threshold are excluded from the shared walk entirely
-  /// (zero counter row, empty candidate list, columns_visited 0 — exactly
-  /// the solo short-circuit). `candidates[q]` gets query q's qualifying
-  /// groups ascending. Returns the number of distinct columns walked.
+  /// \brief The TGM candidate probe over `num_queries` canonicalized
+  /// queries (a single query is a batch of one). Fills row q of `counts`
+  /// (row-major, resized to num_queries * num_groups()) with
+  /// Σ_{t in Q_q} M[g, t] — query multiplicity counted, per Equation 2/4 —
+  /// by inverting the batch into a token -> subscriber plan and walking
+  /// each referenced column once through the batched kernels, fanning its
+  /// decoded containers out to every subscribing row.
+  ///
+  /// Per-query thresholds come from `min_counts[0 .. num_queries)` (null =
+  /// all 0). A query whose attainable count (summed multiplicity of its
+  /// tokens with non-empty columns) falls below its threshold is excluded
+  /// from the walk without touching a column: zero counter row, empty
+  /// candidate list, columns_visited 0. When `candidates` is non-null,
+  /// candidates[q] gets query q's groups whose count reached its threshold
+  /// (ascending GroupId; every group when the threshold is 0).
+  /// `columns_visited` is resized to the per-query non-empty column
+  /// counts. Each row is independent of the rest of the batch. Returns the
+  /// number of *distinct* columns walked — the work the batch actually did.
   size_t MatchedCandidatesBatch(const SetView* queries, size_t num_queries,
                                 const uint32_t* min_counts,
                                 std::vector<uint32_t>* counts,
                                 std::vector<std::vector<GroupId>>* candidates,
                                 std::vector<size_t>* columns_visited) const;
+
+  /// One-query MatchedCandidatesBatch with threshold 0 and no harvest:
+  /// `counts` is resized to num_groups(). Returns the number of non-empty
+  /// token columns visited.
+  size_t MatchedCounts(SetView query, std::vector<uint32_t>* counts) const;
+
+  /// One-query MatchedCandidatesBatch: `candidates` gets the groups whose
+  /// count reached `min_count`. Returns the number of non-empty token
+  /// columns visited (0 when the query could not attain `min_count`).
+  size_t MatchedCandidates(SetView query, uint32_t min_count,
+                           std::vector<uint32_t>* counts,
+                           std::vector<GroupId>* candidates) const;
 
   /// \brief kNN backfill for the zero-count groups MatchedCandidates
   /// pruned: their members all have similarity exactly 0, so they are only
@@ -177,9 +173,10 @@ class Tgm {
   void BackfillZeroCountGroups(const uint32_t* counts, uint32_t min_count,
                                TopKHits* best) const;
 
-  /// \brief Reference per-bit implementation of MatchedCounts (the
-  /// pre-kernel ForEach loop). Kept as the differential baseline for the
-  /// property tests and the micro benches; not used on the query path.
+  /// \brief Reference per-bit implementation of MatchedCounts (a plain
+  /// ForEach loop over each column, no batched kernels). Kept as the
+  /// independent oracle for the tests and the micro benches; not used on
+  /// the query path.
   size_t MatchedCountsReference(SetView query,
                                 std::vector<uint32_t>* counts) const;
 

@@ -38,6 +38,8 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, n) across the pool and waits for THIS call's
   /// work only — concurrent ParallelFor calls on one pool do not convoy
   /// on each other (unlike Wait(), which blocks on the global queue).
+  /// A single item (n == 1) runs on the calling thread, with no Submit —
+  /// so it is also safe from inside a task of this pool.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:

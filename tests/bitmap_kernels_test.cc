@@ -77,8 +77,10 @@ TEST_P(BitmapColumnBackendTest, AccumulateMatchesForEachPerKind) {
       if (GetParam() == BitmapBackend::kRoaring) col.RunOptimize();
       // Accumulator path (runs go through the difference array).
       std::vector<uint32_t> counts;
-      GroupCountAccumulator acc(n, &counts);
-      col.AccumulateInto(acc, 3);
+      BatchGroupCountAccumulator acc;
+      acc.Reset(/*num_queries=*/1, n, &counts);
+      const QueryWeight sub{0, 3};
+      col.AccumulateIntoBatch(acc, &sub, 1);
       acc.Finish();
       EXPECT_EQ(counts, ReferenceCounts(col, n, 3));
       // Direct-array path.
@@ -189,9 +191,11 @@ TEST_P(BitmapColumnBackendTest, AccumulatorFusesManyColumns) {
     weights.push_back(w);
   }
   std::vector<uint32_t> counts;
-  GroupCountAccumulator acc(kUniverse, &counts);
+  BatchGroupCountAccumulator acc;
+  acc.Reset(/*num_queries=*/1, kUniverse, &counts);
   for (size_t c = 0; c < cols.size(); ++c) {
-    cols[c].AccumulateInto(acc, weights[c]);
+    const QueryWeight sub{0, weights[c]};
+    cols[c].AccumulateIntoBatch(acc, &sub, 1);
   }
   acc.Finish();
   EXPECT_EQ(counts, expected);
@@ -246,8 +250,10 @@ TEST_P(BitmapColumnBackendTest, EmptyColumn) {
   EXPECT_EQ(col.Cardinality(), 0u);
   EXPECT_FALSE(col.Contains(0));
   std::vector<uint32_t> counts;
-  GroupCountAccumulator acc(16, &counts);
-  col.AccumulateInto(acc, 2);
+  BatchGroupCountAccumulator acc;
+  acc.Reset(/*num_queries=*/1, 16, &counts);
+  const QueryWeight sub{0, 2};
+  col.AccumulateIntoBatch(acc, &sub, 1);
   acc.Finish();
   EXPECT_EQ(counts, std::vector<uint32_t>(16, 0));
 }
@@ -257,24 +263,26 @@ INSTANTIATE_TEST_SUITE_P(Backends, BitmapColumnBackendTest,
                                            BitmapBackend::kBitVector),
                          [](const auto& info) { return ToString(info.param); });
 
-TEST(GroupCountAccumulatorTest, RangesFoldExactly) {
+TEST(BatchGroupCountAccumulatorTest, RangesFoldExactly) {
   std::vector<uint32_t> counts;
-  GroupCountAccumulator acc(10, &counts);
-  acc.counts()[2] += 5;
-  acc.AddRange(0, 3, 2);
-  acc.AddRange(3, 9, 1);
-  acc.AddRange(9, 9, 7);
+  BatchGroupCountAccumulator acc;
+  acc.Reset(/*num_queries=*/1, 10, &counts);
+  acc.row(0)[2] += 5;
+  acc.AddRange(0, 0, 3, 2);
+  acc.AddRange(0, 3, 9, 1);
+  acc.AddRange(0, 9, 9, 7);
   acc.Finish();
   EXPECT_EQ(counts,
             (std::vector<uint32_t>{2, 2, 7, 3, 1, 1, 1, 1, 1, 8}));
 }
 
-TEST(GroupCountAccumulatorTest, ResetClearsState) {
+TEST(BatchGroupCountAccumulatorTest, ResetClearsState) {
   std::vector<uint32_t> counts;
-  GroupCountAccumulator acc(4, &counts);
-  acc.AddRange(0, 3, 9);
+  BatchGroupCountAccumulator acc;
+  acc.Reset(/*num_queries=*/1, 4, &counts);
+  acc.AddRange(0, 0, 3, 9);
   acc.Finish();
-  acc.Reset(6, &counts);
+  acc.Reset(/*num_queries=*/1, 6, &counts);
   acc.Finish();
   EXPECT_EQ(counts, std::vector<uint32_t>(6, 0));
 }

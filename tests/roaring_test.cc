@@ -306,9 +306,11 @@ TEST(RoaringTest, AccumulateIntoAcrossAllKinds) {
     for (uint32_t v : fixtures.back().ref) expected[v] += kind + 1;
   }
   std::vector<uint32_t> counts;
-  GroupCountAccumulator acc(1u << 16, &counts);
+  BatchGroupCountAccumulator acc;
+  acc.Reset(/*num_queries=*/1, 1u << 16, &counts);
   for (int kind = 0; kind < 3; ++kind) {
-    fixtures[kind].bitmap.AccumulateInto(acc, kind + 1);
+    const QueryWeight sub{0, static_cast<uint32_t>(kind + 1)};
+    fixtures[kind].bitmap.AccumulateIntoBatch(acc, &sub, 1);
   }
   acc.Finish();
   EXPECT_EQ(counts, expected);

@@ -893,6 +893,90 @@ TEST_F(ServeE2ETest, CoalescedServingStaysExact) {
   }
 }
 
+// One query set answered three ways — lone kKnn requests, members of one
+// coalesced group, and rows of a kKnnBatch request — runs through the same
+// cache -> engine -> cache step each way: the replies are byte-identical,
+// cold and warm, and the cache counts the same hits and misses. Each way
+// gets a fresh server (and so a cold cache) over an identically built
+// engine.
+TEST_F(ServeE2ETest, LoneCoalescedAndBatchedQueriesAnswerAlike) {
+  constexpr size_t kK = 7;
+  std::vector<SetRecord> queries;
+  std::vector<std::vector<Hit>> direct;
+  std::vector<std::vector<std::vector<Hit>>> answers(3);
+  std::vector<ResultCache::Stats> stats(3);
+  for (int way = 0; way < 3; ++way) {
+    ServerOptions options;
+    options.batch_window = 8;
+    options.executors = 1;
+    // The coalesced way leads with a Ping that holds the only executor
+    // until the whole kNN burst is queued behind it, so the burst pops
+    // as one group.
+    options.before_execute = [](const Request& request) {
+      if (request.type == MsgType::kPing) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
+    };
+    StartServer(options);
+    if (queries.empty()) {
+      queries = SampleQueries(engine_->db(), 4);
+      for (const SetRecord& q : queries) {
+        direct.push_back(engine_->Knn(q.view(), kK).hits);
+      }
+    }
+    Client client = MustConnect(server_->port());
+    for (int round = 0; round < 2; ++round) {  // cold cache, then warm
+      std::string label =
+          "way=" + std::to_string(way) + " round=" + std::to_string(round);
+      std::vector<std::vector<Hit>> got;
+      if (way == 0) {
+        for (const SetRecord& q : queries) {
+          auto hits = client.Knn(q.view(), kK);
+          ASSERT_TRUE(hits.ok()) << label << ": " << hits.status().ToString();
+          got.push_back(hits.value());
+        }
+      } else if (way == 1) {
+        std::vector<Request> burst(1);
+        burst[0].type = MsgType::kPing;
+        for (const SetRecord& q : queries) {
+          Request request;
+          request.type = MsgType::kKnn;
+          request.k = kK;
+          request.queries.push_back(q);
+          burst.push_back(std::move(request));
+        }
+        std::vector<Response> replies;
+        Status st = client.CallPipelined(burst, &replies);
+        ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
+        for (size_t i = 1; i < replies.size(); ++i) {
+          ASSERT_EQ(replies[i].status, WireStatus::kOk) << label;
+          got.push_back(replies[i].results[0]);
+        }
+      } else {
+        auto hits = client.KnnBatch(queries, kK);
+        ASSERT_TRUE(hits.ok()) << label << ": " << hits.status().ToString();
+        got = hits.value();
+      }
+      ASSERT_EQ(got.size(), queries.size()) << label;
+      for (size_t q = 0; q < queries.size(); ++q) {
+        ExpectExactHits(direct[q], got[q], label + " q=" + std::to_string(q));
+      }
+      if (round == 0) answers[way] = std::move(got);
+    }
+    ASSERT_NE(server_->cache(), nullptr);
+    stats[way] = server_->cache()->stats();
+  }
+  for (int way = 0; way < 3; ++way) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      ExpectExactHits(answers[0][q], answers[way][q],
+                      "way=" + std::to_string(way) + " q=" + std::to_string(q));
+    }
+    EXPECT_EQ(stats[way].misses, queries.size()) << "way=" << way;
+    EXPECT_EQ(stats[way].hits, queries.size()) << "way=" << way;
+    EXPECT_EQ(stats[way].insertions, queries.size()) << "way=" << way;
+  }
+}
+
 // Coalescing under concurrent mutations — the TSan leg for the batched
 // serving path: pipelining clients keep the queue populated while a
 // mutator inserts/deletes/updates, so engine batch calls, cache fills,

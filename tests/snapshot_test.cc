@@ -9,6 +9,8 @@
 #include "persist/snapshot.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <memory>
@@ -245,6 +247,43 @@ TEST(SnapshotTest, ResaveAfterLoadIsByteIdentical) {
   EXPECT_EQ(bytes1, bytes2);
   std::remove(path1.c_str());
   std::remove(path2.c_str());
+}
+
+TEST(SnapshotTest, FailedSaveKeepsThePreviousSnapshot) {
+  // Save writes path.tmp and renames it over the target. A directory
+  // squatting on path.tmp makes that write fail: Save must report IOError
+  // and leave the last good snapshot whole — still loadable, and
+  // re-saving to the very same bytes.
+  auto db = std::make_shared<SetDatabase>(MakeDb(200, 37));
+  auto original = api::EngineBuilder::Build(
+      db, "sharded_les3",
+      FastOptions(SimilarityMeasure::kJaccard,
+                  bitmap::BitmapBackend::kRoaring));
+  ASSERT_TRUE(original.ok());
+  std::string path = TempPath("failed_save.snap");
+  ASSERT_TRUE(original.value()->Save(path).ok());
+  std::vector<uint8_t> good;
+  ASSERT_TRUE(ReadFileBytes(path, &good).ok());
+
+  std::string tmp = path + ".tmp";
+  ASSERT_EQ(::mkdir(tmp.c_str(), 0700), 0);
+  ASSERT_TRUE(original.value()->Insert(SetRecord::FromTokens({1, 2, 3})).ok());
+  Status failed = original.value()->Save(path);
+  EXPECT_EQ(failed.code(), StatusCode::kIOError) << failed.ToString();
+  ::rmdir(tmp.c_str());
+
+  std::vector<uint8_t> after;
+  ASSERT_TRUE(ReadFileBytes(path, &after).ok());
+  EXPECT_EQ(after, good);
+  auto reloaded = api::EngineBuilder::Open(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  std::string resave = TempPath("failed_save_resave.snap");
+  ASSERT_TRUE(reloaded.value()->Save(resave).ok());
+  std::vector<uint8_t> resaved;
+  ASSERT_TRUE(ReadFileBytes(resave, &resaved).ok());
+  EXPECT_EQ(resaved, good);
+  std::remove(path.c_str());
+  std::remove(resave.c_str());
 }
 
 TEST(SnapshotTest, L2pModelsPersistAcrossReload) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <thread>
 
 #include "util/csv.h"
 #include "util/random.h"
@@ -127,6 +128,30 @@ TEST(ThreadPoolTest, ParallelForCoversIndices) {
   std::vector<std::atomic<int>> hits(257);
   pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// A one-item ParallelFor runs on the calling thread: issued from inside a
+// task of a one-worker pool (whose only worker is that task), a handoff
+// would wait forever for a free worker.
+TEST(ThreadPoolTest, SingleItemParallelForRunsOnCaller) {
+  ThreadPool pool(1);
+  std::thread::id task_thread;
+  std::thread::id item_thread;
+  std::atomic<int> items{0};
+  pool.Submit([&] {
+    task_thread = std::this_thread::get_id();
+    pool.ParallelFor(1, [&](size_t i) {
+      item_thread = std::this_thread::get_id();
+      items.fetch_add(i == 0 ? 1 : 100);
+    });
+  });
+  pool.Wait();
+  EXPECT_EQ(items.load(), 1);
+  EXPECT_EQ(item_thread, task_thread);
+
+  // From outside the pool too: the caller runs the item itself.
+  pool.ParallelFor(1, [&](size_t) { item_thread = std::this_thread::get_id(); });
+  EXPECT_EQ(item_thread, std::this_thread::get_id());
 }
 
 TEST(ThreadPoolTest, WaitWithNoTasksReturns) {
