@@ -9,6 +9,36 @@
 namespace les3 {
 namespace search {
 
+namespace {
+
+/// MinOverlapForPair(measure, |Q|, |S|, threshold), recomputed only when
+/// the member size or the threshold moves: members arrive size-sorted, so
+/// that is once per size run.
+///
+/// The value also serves as the count cap. A group's matched count c_g
+/// bounds |Q ∩ S| for every member S (stale column bits only raise it), so
+/// a member whose required overlap exceeds c_g is strictly below the
+/// threshold. The requirement never falls as |S| or the threshold grows,
+/// so the first member that fails the cap ends its group's run.
+struct PairOverlapBound {
+  SimilarityMeasure measure;
+  size_t query_size;
+  size_t set_size = static_cast<size_t>(-1);
+  double threshold = -1.0;
+  size_t min_overlap = 0;
+
+  size_t operator()(size_t size, double t) {
+    if (size != set_size || t != threshold) {
+      set_size = size;
+      threshold = t;
+      min_overlap = MinOverlapForPair(measure, query_size, size, t);
+    }
+    return min_overlap;
+  }
+};
+
+}  // namespace
+
 std::vector<Hit> CandidateVerifier::KnnFromCounts(
     SetView query, size_t k, uint32_t min_count, const uint32_t* counts,
     const std::vector<GroupId>& candidates, QueryStats* stats,
@@ -30,15 +60,12 @@ std::vector<Hit> CandidateVerifier::KnnFromCounts(
 
   TopKHits best(k);
   // Size window implied by the running k-th best; recomputed only when the
-  // k-th best moves. Until the heap is full no window applies (any
-  // similarity can still enter). The pair-overlap bound is likewise cached
-  // per (member size, threshold) run — members arrive size-sorted.
+  // k-th best moves. Until the heap is full no window, and no count cap,
+  // applies (any similarity can still enter).
   SizeBounds window;
   double window_threshold = -1.0;
   bool have_window = false;
-  size_t cached_size = static_cast<size_t>(-1);
-  double cached_threshold = -1.0;
-  size_t cached_min_overlap = 0;
+  PairOverlapBound min_overlap{measure_, query.size()};
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end());
     auto [ub, g] = heap.back();
@@ -54,7 +81,12 @@ std::vector<Hit> CandidateVerifier::KnnFromCounts(
       }
       w = tgm_->MembersInSizeWindow(g, window.lo, window.hi);
       stats->candidates_size_skipped += w.skipped;
-      if (w.begin == w.end) continue;  // window emptied the group
+      // Window emptied the group, or capped it empty: its smallest member
+      // already needs more overlap than the group's count.
+      if (w.begin == w.end || min_overlap(*w.sizes, threshold) > counts[g]) {
+        stats->candidates_size_skipped += w.count();
+        continue;
+      }
     } else {
       w = tgm_->MembersInSizeWindow(g, 0, static_cast<size_t>(-1));
     }
@@ -63,8 +95,8 @@ std::vector<Hit> CandidateVerifier::KnnFromCounts(
     const uint32_t* size = w.sizes;
     for (const SetId* member = w.begin; member != w.end; ++member, ++size) {
       SetId s = *member;
-      ++stats->candidates_verified;
       if (!best.full()) {
+        ++stats->candidates_verified;
         best.Offer(s, Similarity(measure_, query, db_->set(s)));
         continue;
       }
@@ -72,14 +104,14 @@ std::vector<Hit> CandidateVerifier::KnnFromCounts(
       // candidate tying the k-th similarity still wins on a smaller id,
       // which Offer resolves under HitOrder.
       double threshold = best.WorstSimilarity();
-      if (*size != cached_size || threshold != cached_threshold) {
-        cached_size = *size;
-        cached_threshold = threshold;
-        cached_min_overlap =
-            MinOverlapForPair(measure_, query.size(), cached_size, threshold);
+      size_t need = min_overlap(*size, threshold);
+      if (need > counts[g]) {
+        stats->candidates_size_skipped += static_cast<size_t>(w.end - member);
+        break;
       }
-      VerifyResult v = VerifyThreshold(measure_, query, db_->set(s),
-                                       threshold, cached_min_overlap);
+      ++stats->candidates_verified;
+      VerifyResult v =
+          VerifyThreshold(measure_, query, db_->set(s), threshold, need);
       if (v.passed) best.Offer(s, v.similarity);
     }
   }
@@ -97,16 +129,13 @@ std::vector<Hit> CandidateVerifier::KnnFromCounts(
 }
 
 std::vector<Hit> CandidateVerifier::RangeFromCounts(
-    SetView query, double delta, const std::vector<GroupId>& candidates,
-    QueryStats* stats, const GroupVisitFn& on_group) const {
+    SetView query, double delta, const uint32_t* counts,
+    const std::vector<GroupId>& candidates, QueryStats* stats,
+    const GroupVisitFn& on_group) const {
   // The δ-implied length filter, shared by every visited group.
   SizeBounds window = SizeBoundsForThreshold(measure_, query.size(), delta);
   std::vector<Hit> out;
-  // Members come in ascending size order, so the pair-overlap bound — a
-  // function of (|Q|, |S|, δ) only — is recomputed once per size run, not
-  // per candidate.
-  size_t cached_size = static_cast<size_t>(-1);
-  size_t cached_min_overlap = 0;
+  PairOverlapBound min_overlap{measure_, query.size()};
   for (GroupId g : candidates) {
     if (tgm_->group_size(g) == 0) continue;
     // counts[g] >= min_count already implies UB(Q, G_g) >= delta
@@ -114,19 +143,23 @@ std::vector<Hit> CandidateVerifier::RangeFromCounts(
     tgm::Tgm::MemberWindow w =
         tgm_->MembersInSizeWindow(g, window.lo, window.hi);
     stats->candidates_size_skipped += w.skipped;
-    if (w.begin == w.end) continue;  // every member outside the window
+    // Every member outside the window, or the group capped empty.
+    if (w.begin == w.end || min_overlap(*w.sizes, delta) > counts[g]) {
+      stats->candidates_size_skipped += w.count();
+      continue;
+    }
     ++stats->groups_visited;
     if (on_group) on_group(g, w.count());
     const uint32_t* size = w.sizes;
     for (const SetId* member = w.begin; member != w.end; ++member, ++size) {
-      ++stats->candidates_verified;
-      if (*size != cached_size) {
-        cached_size = *size;
-        cached_min_overlap =
-            MinOverlapForPair(measure_, query.size(), cached_size, delta);
+      size_t need = min_overlap(*size, delta);
+      if (need > counts[g]) {
+        stats->candidates_size_skipped += static_cast<size_t>(w.end - member);
+        break;
       }
-      VerifyResult v = VerifyThreshold(measure_, query, db_->set(*member),
-                                       delta, cached_min_overlap);
+      ++stats->candidates_verified;
+      VerifyResult v =
+          VerifyThreshold(measure_, query, db_->set(*member), delta, need);
       if (v.passed) out.emplace_back(*member, v.similarity);
     }
   }
@@ -234,6 +267,7 @@ void CandidateVerifier::RangeBatch(const SetView* queries, size_t num_queries,
                                &counts, &candidates, &columns_visited);
   const double probe_share = probe_timer.Micros() / num_queries;
 
+  const uint32_t num_groups = tgm_->num_groups();
   for (size_t q = 0; q < num_queries; ++q) {
     WallTimer timer;
     QueryStats& qstats = (*stats)[q];
@@ -242,8 +276,10 @@ void CandidateVerifier::RangeBatch(const SetView* queries, size_t num_queries,
       continue;
     }
     qstats.columns_scanned = columns_visited[q];
-    (*hits)[q] = RangeFromCounts(queries[q], delta, candidates[q], &qstats,
-                                 on_group);
+    (*hits)[q] = RangeFromCounts(
+        queries[q], delta,
+        counts.data() + q * static_cast<size_t>(num_groups), candidates[q],
+        &qstats, on_group);
     qstats.micros = probe_share + timer.Micros();
   }
 }

@@ -17,8 +17,13 @@
 //      (tgm/tgm.h), so the candidate-size window implied by the threshold
 //      (core/similarity.h SizeBoundsForThreshold — for kNN, the running
 //      k-th best) binary-searches down to the one contiguous run that can
-//      still qualify; everything outside is counted in
-//      QueryStats::candidates_size_skipped.
+//      still qualify. Inside the run the group's matched count c_g caps
+//      the length filter: |Q ∩ S| <= c_g for every member S, so the first
+//      member whose required overlap MinOverlapForPair(|Q|, |S|, t)
+//      exceeds c_g ends the run (the requirement never falls as |S| grows).
+//      A group capped empty at its first member is skipped like one the
+//      window emptied. Everything cut is counted in
+//      QueryStats::candidates_size_skipped without a token read.
 //   4. Kernel verification: survivors run through the adaptive
 //      VerifyThreshold kernels (core/verify.h) over SetViews into the
 //      database's CSR token arena — no per-candidate pointer chasing.
@@ -54,7 +59,9 @@ class CandidateVerifier {
   /// number of candidates the size window let through — the disk engine
   /// charges its extent read here, and the maintenance layer
   /// (search/maintenance.h) accumulates per-group activity. Groups
-  /// pre-skipped by the bound or emptied by the size window never fire.
+  /// pre-skipped by the bound, or emptied by the size window or the count
+  /// cap, never fire. `candidates` is the window's run; the count cap may
+  /// end the run early, so fewer may be verified.
   using GroupVisitFn = std::function<void(GroupId, size_t candidates)>;
 
   CandidateVerifier(const tgm::Tgm* tgm, const SetDatabase* db,
@@ -99,9 +106,11 @@ class CandidateVerifier {
                                  QueryStats* stats,
                                  const GroupVisitFn& on_group) const;
 
-  /// Range-query counterpart of KnnFromCounts (the min-count pruning is
-  /// already folded into `candidates`, so no counter row is needed).
+  /// Range-query counterpart of KnnFromCounts. The min-count pruning is
+  /// already folded into `candidates`; the counter row feeds the per-member
+  /// count cap.
   std::vector<Hit> RangeFromCounts(SetView query, double delta,
+                                   const uint32_t* counts,
                                    const std::vector<GroupId>& candidates,
                                    QueryStats* stats,
                                    const GroupVisitFn& on_group) const;

@@ -13,8 +13,9 @@ struct QueryStats {
   uint64_t candidates_verified = 0;  // |S_Q|: sets whose similarity was
                                      // computed
   uint64_t candidates_size_skipped = 0;  // members of surviving groups
-                                         // skipped by the size window
-                                         // without touching a token
+                                         // skipped by the size window or
+                                         // the group-count cap, without
+                                         // touching a token
   uint64_t groups_visited = 0;       // groups whose members were verified
   uint64_t groups_pruned = 0;
   uint64_t columns_scanned = 0;      // TGM token columns visited

@@ -48,8 +48,9 @@ DiskQueryResult DiskLes3::Knn(SetView query, size_t k) const {
   DiskSimulator sim(disk_);
   // The shared pipeline (bound-ordered traversal, size window, kernels);
   // each group whose members get verified costs one seek plus a sequential
-  // read of its contiguous extent. Groups the size window empties are not
-  // fetched at all — the filter saves I/O here, not just CPU.
+  // read of its contiguous extent. Groups the size window or the count cap
+  // empties are not fetched at all — the filter saves I/O here, not just
+  // CPU.
   search::CandidateVerifier verifier(&tgm_, db_, measure_);
   result.hits = verifier.Knn(query, k, &result.stats, [&](GroupId g, size_t) {
     const Extent& extent = layout_.group_extent(g);

@@ -5,8 +5,8 @@
 //   - DiskLes3: TGM in memory (it is tiny); each surviving group costs one
 //     seek plus a sequential read of its contiguous extent. Queries run
 //     the shared CandidateVerifier pipeline (search/candidate_verifier.h),
-//     so the size window can skip a whole group's extent read when no
-//     member size can attain the threshold.
+//     so the size window and the group-count cap can skip a whole group's
+//     extent read when no member can attain the threshold.
 //   - DiskBruteForce: one sequential scan of the whole file.
 //   - DiskInvIdx: posting reads for the query prefix plus one random set
 //     read per candidate (candidates sorted by id, so physically adjacent

@@ -104,9 +104,15 @@ TEST(SearchEdgeTest, SingleGroupIndexDegeneratesToScan) {
   search::QueryStats stats;
   auto got = index.Knn(db.set(0), 5, &stats);
   auto expected = brute.Knn(db.set(0), 5);
-  EXPECT_EQ(stats.candidates_verified, db.size());
+  // One group means no group can be pruned: every member is either
+  // verified or cut unopened by the length filter or the group-count cap.
+  EXPECT_EQ(stats.groups_pruned, 0u);
+  EXPECT_EQ(stats.candidates_verified + stats.candidates_size_skipped,
+            db.size());
+  ASSERT_EQ(got.size(), expected.size());
   for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got[i].second, expected[i].second, 1e-12);
+    EXPECT_EQ(got[i].first, expected[i].first) << i;
+    EXPECT_EQ(got[i].second, expected[i].second) << i;  // bit-identical
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "baselines/brute_force.h"
 #include "datagen/generators.h"
+#include "storage/disk_search.h"
 #include "util/random.h"
 
 namespace les3 {
@@ -200,6 +201,93 @@ TEST(SearchTest, InsertWithNewTokensSearchable) {
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].first, id);
   EXPECT_DOUBLE_EQ(hits[0].second, 1.0);
+}
+
+/// Adds `count` sets of `size` tokens each: all of `shared_tokens`, padded
+/// with fresh tokens that no other set or query holds.
+void AddSetsSharing(const std::vector<TokenId>& shared_tokens, size_t count,
+                    size_t size, TokenId* next_fresh, SetDatabase* db) {
+  for (size_t i = 0; i < count; ++i) {
+    std::vector<TokenId> tokens = shared_tokens;
+    while (tokens.size() < size) tokens.push_back((*next_fresh)++);
+    db->AddSet(SetRecord::FromTokens(std::move(tokens)));
+  }
+}
+
+TEST(SearchTest, CountCapSkipsRangeGroupUnopened) {
+  // |Q| = 10, Jaccard δ = 0.5: the TGM min-count is 5, and one group whose
+  // members all share the same 5 query tokens reaches it exactly (c_g = 5).
+  // Size 10 sits inside the size window [5, 20], but a size-10 member needs
+  // overlap 7 (7/13 >= 0.5 > 6/14), more than c_g: the count cap must skip
+  // the whole group before it is opened, in memory and on disk.
+  SetDatabase db(1000);
+  TokenId fresh = 100;
+  AddSetsSharing({0, 1, 2, 3, 4}, 4, 10, &fresh, &db);
+  SetRecord query = SetRecord::FromTokens({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  std::vector<GroupId> assignment(db.size(), 0);
+  baselines::BruteForce brute(&db);
+  ASSERT_TRUE(brute.Range(query, 0.5).empty());
+
+  Les3Index index(db, assignment, 1);
+  QueryStats stats;
+  size_t fired = 0;
+  auto hits = index.Range(query, 0.5, &stats,
+                          [&](GroupId, size_t) { ++fired; });
+  EXPECT_TRUE(hits.empty());
+  EXPECT_EQ(stats.candidates_verified, 0u);
+  EXPECT_EQ(stats.candidates_size_skipped, db.size());
+  EXPECT_EQ(stats.groups_visited, 0u);
+  EXPECT_EQ(fired, 0u);
+
+  storage::DiskLes3 disk(&db, assignment, 1, SimilarityMeasure::kJaccard);
+  storage::DiskQueryResult r = disk.Range(query, 0.5);
+  EXPECT_TRUE(r.hits.empty());
+  EXPECT_EQ(r.stats.candidates_verified, 0u);
+  EXPECT_EQ(r.stats.candidates_size_skipped, db.size());
+  EXPECT_EQ(r.stats.groups_visited, 0u);
+  EXPECT_EQ(r.seeks, 0u);  // no extent read
+  EXPECT_EQ(r.pages, 0u);
+}
+
+TEST(SearchTest, CountCapSkipsKnnGroupUnopened) {
+  // kNN k = 1 over |Q| = 10. Group 0 (c = 10, bound 1) holds {0..7}
+  // (Jaccard 0.8) and a small set covering tokens 8 and 9; once it is
+  // visited the running k-th best is 0.8. Group 1 shares tokens 0..7 over
+  // two size-10 members, 4 each: c = 8, bound 0.8 — not below the k-th
+  // best, so the heap pops it, and size 10 is inside the 0.8 window
+  // [8, 12]. A size-10 member needs overlap 9 for 0.8, more than c: the
+  // count cap must skip group 1 unopened.
+  SetDatabase db(1000);
+  TokenId fresh = 100;
+  SetId best_id = db.AddSet(SetRecord::FromTokens({0, 1, 2, 3, 4, 5, 6, 7}));
+  AddSetsSharing({8, 9}, 1, 3, &fresh, &db);
+  AddSetsSharing({0, 1, 2, 3}, 1, 10, &fresh, &db);
+  AddSetsSharing({4, 5, 6, 7}, 1, 10, &fresh, &db);
+  std::vector<GroupId> assignment = {0, 0, 1, 1};
+  SetRecord query = SetRecord::FromTokens({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  baselines::BruteForce brute(&db);
+  auto expected = brute.Knn(query, 1);
+  ASSERT_EQ(expected.size(), 1u);
+  ASSERT_EQ(expected[0].first, best_id);
+
+  Les3Index index(db, assignment, 2);
+  QueryStats stats;
+  std::vector<GroupId> fired;
+  auto hits = index.Knn(query, 1, &stats,
+                        [&](GroupId g, size_t) { fired.push_back(g); });
+  EXPECT_EQ(hits, expected);
+  EXPECT_EQ(stats.candidates_verified, 2u);      // group 0's members
+  EXPECT_EQ(stats.candidates_size_skipped, 2u);  // group 1's members
+  EXPECT_EQ(stats.groups_visited, 1u);
+  EXPECT_EQ(stats.groups_pruned, 1u);
+  EXPECT_EQ(fired, std::vector<GroupId>{0});
+
+  storage::DiskLes3 disk(&db, assignment, 2, SimilarityMeasure::kJaccard);
+  storage::DiskQueryResult r = disk.Knn(query, 1);
+  EXPECT_EQ(r.hits, expected);
+  EXPECT_EQ(r.stats.candidates_size_skipped, 2u);
+  EXPECT_EQ(r.stats.groups_visited, 1u);
+  EXPECT_EQ(r.seeks, 1u);  // group 0's extent only
 }
 
 TEST(SearchTest, StatsAccounting) {

@@ -279,6 +279,58 @@ TEST(VerifyKernelsTest, MinOverlapForPairIsTheExactBoundary) {
   }
 }
 
+TEST(VerifyKernelsTest, CountCapIsExactAndMonotoneInSetSize) {
+  // The verifier's count cap: a member S of a group whose matched count c
+  // bounds |Q ∩ S| is cut when MinOverlapForPair(|Q|, |S|, t) > c. Inside
+  // the size window that must hold exactly when the best overlap the count
+  // allows, min(c, |S|), stays strictly below t — ties at t kept. (Outside
+  // it the length filter has already cut S, and MinOverlapForPair returns
+  // min(|Q|, |S|) + 1, which can be <= c.)
+  Rng rng(29);
+  for (int trial = 0; trial < 4000; ++trial) {
+    size_t q = rng.Uniform(40);
+    size_t s = rng.Uniform(80);
+    size_t c = rng.Uniform(q + 1);
+    for (auto m : kAllMeasures) {
+      // Half the thresholds are attainable similarities, hit exactly.
+      double t = rng.Bernoulli(0.5)
+                     ? rng.NextDouble()
+                     : SimilarityFromOverlap(
+                           m, rng.Uniform(std::min(q, s) + 1), q, s);
+      size_t need = MinOverlapForPair(m, q, s, t);
+      bool can_pass = SimilarityFromOverlap(m, std::min(c, s), q, s) >= t;
+      EXPECT_EQ(need <= std::min(c, s), can_pass)
+          << ToString(m) << " q=" << q << " s=" << s << " c=" << c
+          << " t=" << t;
+      if (MaxSimForSize(m, q, s) >= t) {
+        EXPECT_EQ(need <= c, can_pass)
+            << ToString(m) << " q=" << q << " s=" << s << " c=" << c
+            << " t=" << t;
+      }
+    }
+  }
+  // The first capped member ends its group's run, which needs the
+  // requirement to be non-decreasing in |S| across the size window.
+  for (size_t q = 0; q <= 40; ++q) {
+    for (auto m : kAllMeasures) {
+      std::vector<double> thresholds = {0.0, 1.0};
+      for (size_t o = 1; o <= q; ++o) {
+        thresholds.push_back(SimilarityFromOverlap(m, o, q, q));
+        thresholds.push_back(rng.NextDouble());
+      }
+      for (double t : thresholds) {
+        SizeBounds w = SizeBoundsForThreshold(m, q, t);
+        size_t hi = std::min(w.hi, 4 * q + 8);  // containment: unbounded
+        for (size_t s = w.lo + 1; s <= hi; ++s) {
+          EXPECT_GE(MinOverlapForPair(m, q, s, t),
+                    MinOverlapForPair(m, q, s - 1, t))
+              << ToString(m) << " q=" << q << " s=" << s << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
 TEST(VerifyKernelsTest, SizeWindowBoundariesAreExact) {
   // |S| exactly at lo and hi must stay inside the window; lo-1 and hi+1
   // must be excluded — under the same doubles the verifier compares with.
