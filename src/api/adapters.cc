@@ -1,21 +1,19 @@
-// SearchEngine adapters over the seven concrete searchers (plus disk brute
-// force). Two class templates cover the common shapes — memory indexes
-// answering (query, x, QueryStats*) and disk indexes answering with a
-// DiskQueryResult — so each backend is one instantiation plus a describe
-// string. Every adapter shares the one owned SetDatabase it is built
-// over — the baselines hold a raw pointer into it, the LES3 index holds
-// the shared_ptr itself.
+// SearchEngine adapters over the concrete searchers. Two class templates
+// cover the common shapes — memory indexes answering (query, x,
+// QueryStats*) and disk indexes answering with a DiskQueryResult — so each
+// backend is one instantiation plus a describe string. Every adapter
+// shares the one owned SetDatabase it is built over through a raw pointer.
+// The in-memory LES3 backends (les3, sharded_les3) are both
+// shard::ShardedEngine; les3 is its one-shard case.
 
 #include "api/adapters.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "baselines/brute_force.h"
 #include "baselines/dualtrans.h"
 #include "baselines/invidx.h"
 #include "search/builder.h"
-#include "search/les3_index.h"
 #include "shard/sharded_engine.h"
 #include "storage/disk_search.h"
 
@@ -53,7 +51,7 @@ std::string AppendPopulation(const std::string& describe,
          ", deleted=" + std::to_string(db.num_deleted()) + "]";
 }
 
-/// Shared describe tail for the les3-family engines: group count, bitmap
+/// Describe tail of the disk-resident LES3 engine: group count, bitmap
 /// backend, persisted-model count, and snapshot provenance.
 std::string DescribeLes3(SimilarityMeasure measure, uint32_t groups,
                          bitmap::BitmapBackend bitmap_backend,
@@ -152,130 +150,6 @@ class DiskEngine : public SearchEngine {
   std::string describe_;
 };
 
-/// LES3 absorbs inserts (Section 6) and persists as a snapshot; the index
-/// shares the adapter's db. `l2p_models` is the trained-partitioner
-/// snapshot carried for Save() — nothing on the query/insert path reads
-/// it (Section 6 routes inserts through the TGM), so an engine without
-/// persisted weights behaves identically.
-class Les3Engine : public MemoryEngine<search::Les3Index> {
- public:
-  Les3Engine(std::shared_ptr<SetDatabase> db, search::Les3Index index,
-             std::string describe, const EngineOptions& options,
-             std::vector<l2p::CascadeModelSnapshot> l2p_models)
-      : MemoryEngine(std::move(db), std::move(index), std::move(describe),
-                     options),
-        l2p_models_(std::move(l2p_models)) {}
-
-  Result<SetId> Insert(SetRecord set) override {
-    return index_.Insert(std::move(set));
-  }
-
-  Status Delete(SetId id) override {
-    if (!index_.Delete(id)) {
-      return Status::NotFound("no live set with id " + std::to_string(id));
-    }
-    return Status::OK();
-  }
-
-  Status Update(SetId id, SetRecord set) override {
-    if (!index_.Update(id, std::move(set))) {
-      return Status::NotFound("no live set with id " + std::to_string(id));
-    }
-    return Status::OK();
-  }
-
-  /// The static describe string plus the current live/deleted counts —
-  /// mutation makes the population dynamic, so Describe() reports it at
-  /// call time instead of freezing construction-time numbers. Once
-  /// mutation has left debt behind, the dirt counters (stale column bits)
-  /// and arena garbage tokens are appended too, so the memory the index
-  /// reports is attributable.
-  std::string Describe() const override {
-    std::string s = AppendPopulation(describe_, *db_);
-    uint64_t dirt = index_.tgm().TotalDirt();
-    uint64_t garbage = db_->GarbageTokens();
-    if (dirt != 0 || garbage != 0) {
-      s += " [dirt=" + std::to_string(dirt) +
-           ", garbage_tokens=" + std::to_string(garbage) + "]";
-    }
-    return s;
-  }
-
-  /// One bounded maintenance cycle. Same concurrency contract as the
-  /// other mutating ops on this backend: not safe concurrently with
-  /// queries (the server serializes it behind its engine lock).
-  Result<search::MaintenanceReport> MaintainNow() override {
-    return search::MaintainIndexOnce(&index_, search::MaintenanceOptions());
-  }
-
-  /// Batched queries run the column-major batched probe: the batch is cut
-  /// into chunks and each chunk executes one fused Les3Index::KnnBatch /
-  /// RangeBatch call on a pool thread — one column walk per (chunk,
-  /// column) instead of per (query, column). Chunking keeps the Q x groups
-  /// scratch matrix cache-resident and the pool busy on large batches.
-  std::vector<QueryResult> KnnBatch(const std::vector<SetRecord>& queries,
-                                    size_t k) const override {
-    return ChunkedBatch(queries,
-                        [&](const SetView* views, size_t n,
-                            std::vector<std::vector<Hit>>* hits,
-                            std::vector<search::QueryStats>* stats) {
-                          index_.KnnBatch(views, n, k, hits, stats);
-                        });
-  }
-
-  Status Save(const std::string& path) const override {
-    persist::SnapshotMeta meta;
-    meta.backend = "les3";
-    meta.measure = index_.measure();
-    meta.bitmap_backend = index_.bitmap_backend();
-    return persist::SaveSnapshot(path, meta, *db_, index_.tgm(),
-                                 l2p_models_);
-  }
-
- protected:
-  std::vector<QueryResult> RangeBatchImpl(
-      const std::vector<SetRecord>& queries, double delta) const override {
-    return ChunkedBatch(queries,
-                        [&](const SetView* views, size_t n,
-                            std::vector<std::vector<Hit>>* hits,
-                            std::vector<search::QueryStats>* stats) {
-                          index_.RangeBatch(views, n, delta, hits, stats);
-                        });
-  }
-
- private:
-  /// Queries per fused probe. Large enough to amortize the shared column
-  /// walk, small enough that the counts matrix (chunk x groups x 4 bytes)
-  /// stays in cache and chunks spread across the pool.
-  static constexpr size_t kBatchChunk = 64;
-
-  template <typename RunChunk>
-  std::vector<QueryResult> ChunkedBatch(const std::vector<SetRecord>& queries,
-                                        const RunChunk& run_chunk) const {
-    std::vector<QueryResult> results(queries.size());
-    if (queries.empty()) return results;
-    const size_t num_chunks =
-        (queries.size() + kBatchChunk - 1) / kBatchChunk;
-    pool().ParallelFor(num_chunks, [&](size_t c) {
-      const size_t begin = c * kBatchChunk;
-      const size_t end = std::min(begin + kBatchChunk, queries.size());
-      std::vector<SetView> views;
-      views.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) views.push_back(queries[i].view());
-      std::vector<std::vector<Hit>> hits;
-      std::vector<search::QueryStats> stats;
-      run_chunk(views.data(), views.size(), &hits, &stats);
-      for (size_t i = begin; i < end; ++i) {
-        results[i].hits = std::move(hits[i - begin]);
-        results[i].stats = stats[i - begin];
-      }
-    });
-    return results;
-  }
-
-  std::vector<l2p::CascadeModelSnapshot> l2p_models_;
-};
-
 /// Disk-resident LES3 persists through the same snapshot format (the
 /// GroupContiguous layout is regenerated from the assignment on reload,
 /// so only the matrix travels).
@@ -332,31 +206,6 @@ class BruteForceEngine : public MemoryEngine<baselines::BruteForce> {
 };
 
 }  // namespace
-
-std::unique_ptr<SearchEngine> MakeLes3Engine(std::shared_ptr<SetDatabase> db,
-                                             const EngineOptions& options) {
-  // The single-index engine is the 1-shard special case of the build
-  // path: it goes through the same BuildIndexOverShared the sharded
-  // engine runs once per shard.
-  search::Les3BuildOptions build;
-  build.measure = options.measure;
-  build.num_groups = options.num_groups;
-  build.cascade = options.cascade;
-  build.cascade.keep_models = options.keep_l2p_models;
-  build.bitmap_backend = options.bitmap_backend;
-  l2p::CascadeResult cascade_result;
-  search::Les3Index index = search::BuildIndexOverShared(
-      db, build, options.keep_l2p_models ? &cascade_result : nullptr);
-  uint32_t groups = index.tgm().num_groups();
-  return std::make_unique<Les3Engine>(
-      std::move(db), std::move(index),
-      "les3(" + DescribeLes3(options.measure, groups,
-                             options.bitmap_backend,
-                             cascade_result.models.size(),
-                             /*from_snapshot=*/false) +
-          ")",
-      options, std::move(cascade_result.models));
-}
 
 std::unique_ptr<SearchEngine> MakeShardedEngine(
     std::shared_ptr<SetDatabase> db, const EngineOptions& options) {
@@ -416,27 +265,23 @@ std::unique_ptr<SearchEngine> MakeDiskLes3Engine(
 std::unique_ptr<SearchEngine> OpenSnapshotEngine(
     persist::LoadedSnapshot snapshot, const std::string& backend,
     const OpenOptions& options) {
-  if (backend == "sharded_les3") {
+  if (backend != "disk_les3") {
     return shard::ShardedEngine::FromSnapshot(std::move(snapshot), options);
   }
+  // A v1 snapshot: its one shard is the whole database.
   EngineOptions engine_options;
   engine_options.num_threads = options.num_threads;
-  std::string describe_tail =
-      DescribeLes3(snapshot.meta.measure, snapshot.tgm.num_groups(),
+  tgm::Tgm& tgm = snapshot.shards[0].tgm;
+  std::string describe =
+      "disk_les3(" +
+      DescribeLes3(snapshot.meta.measure, tgm.num_groups(),
                    snapshot.meta.bitmap_backend, snapshot.models.size(),
-                   /*from_snapshot=*/true);
-  if (backend == "disk_les3") {
-    storage::DiskLes3 index(snapshot.db.get(), std::move(snapshot.tgm),
-                            snapshot.meta.measure, options.disk);
-    return std::make_unique<DiskLes3Engine>(
-        std::move(snapshot.db), std::move(index),
-        "disk_les3(" + describe_tail + ")", engine_options,
-        std::move(snapshot.models));
-  }
-  search::Les3Index index(snapshot.db, std::move(snapshot.tgm),
-                          snapshot.meta.measure);
-  return std::make_unique<Les3Engine>(
-      std::move(snapshot.db), std::move(index), "les3(" + describe_tail + ")",
+                   /*from_snapshot=*/true) +
+      ")";
+  storage::DiskLes3 index(snapshot.db.get(), std::move(tgm),
+                          snapshot.meta.measure, options.disk);
+  return std::make_unique<DiskLes3Engine>(
+      std::move(snapshot.db), std::move(index), std::move(describe),
       engine_options, std::move(snapshot.models));
 }
 

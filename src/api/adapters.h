@@ -16,8 +16,6 @@ namespace les3 {
 namespace api {
 namespace internal {
 
-std::unique_ptr<SearchEngine> MakeLes3Engine(std::shared_ptr<SetDatabase> db,
-                                             const EngineOptions& options);
 std::unique_ptr<SearchEngine> MakeBruteForceEngine(
     std::shared_ptr<SetDatabase> db, const EngineOptions& options);
 std::unique_ptr<SearchEngine> MakeInvIdxEngine(std::shared_ptr<SetDatabase> db,
@@ -32,6 +30,7 @@ std::unique_ptr<SearchEngine> MakeDiskInvIdxEngine(
     std::shared_ptr<SetDatabase> db, const EngineOptions& options);
 std::unique_ptr<SearchEngine> MakeDiskDualTransEngine(
     std::shared_ptr<SetDatabase> db, const EngineOptions& options);
+/// les3 (one shard) and sharded_les3: both are shard::ShardedEngine.
 std::unique_ptr<SearchEngine> MakeShardedEngine(
     std::shared_ptr<SetDatabase> db, const EngineOptions& options);
 

@@ -48,8 +48,6 @@ Result<std::unique_ptr<SearchEngine>> EngineBuilder::Build(
   }
   LES3_RETURN_NOT_OK(ValidateOptions(*db, options));
   switch (options.backend) {
-    case Backend::kLes3:
-      return internal::MakeLes3Engine(std::move(db), options);
     case Backend::kBruteForce:
       return internal::MakeBruteForceEngine(std::move(db), options);
     case Backend::kInvIdx:
@@ -64,6 +62,7 @@ Result<std::unique_ptr<SearchEngine>> EngineBuilder::Build(
       return internal::MakeDiskInvIdxEngine(std::move(db), options);
     case Backend::kDiskDualTrans:
       return internal::MakeDiskDualTransEngine(std::move(db), options);
+    case Backend::kLes3:
     case Backend::kShardedLes3:
       return internal::MakeShardedEngine(std::move(db), options);
   }

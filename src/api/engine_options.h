@@ -25,7 +25,8 @@ namespace api {
 /// algorithms while charging data accesses to the HDD cost model of
 /// storage/disk.h. kShardedLes3 hash-partitions the database across
 /// num_shards independent LES3 indexes (shard/sharded_engine.h) for
-/// parallel build and insert-concurrent serving.
+/// parallel build and insert-concurrent serving; kLes3 is the same engine
+/// with one shard, saved in the single-index snapshot format.
 enum class Backend {
   kLes3,
   kBruteForce,
@@ -68,10 +69,10 @@ struct EngineOptions {
   /// shard's size).
   uint32_t num_groups = 0;
 
-  /// Shard count (sharded_les3 only): the database is hash-partitioned by
-  /// set id across this many shards, each with its own independently and
-  /// concurrently built LES3 index. Must be >= 1; clamped to |D| so no
-  /// shard starts empty. See docs/sharding.md.
+  /// Shard count (sharded_les3 only; les3 is always one shard): the
+  /// database is hash-partitioned by set id across this many shards, each
+  /// with its own independently and concurrently built LES3 index. Must be
+  /// >= 1; clamped to |D| so no shard starts empty. See docs/sharding.md.
   uint32_t num_shards = 1;
 
   /// TGM column representation (les3 / disk_les3): compressed Roaring

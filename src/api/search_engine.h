@@ -11,15 +11,15 @@
 //
 // Thread-safety: Knn/Range are const and safe to call concurrently;
 // KnnBatch/RangeBatch exploit that via util/thread_pool.h. The mutating
-// ops (Insert/Delete/Update) share one per-backend contract: on the
-// single-index backends they are NOT safe concurrently with queries on
-// the same engine, while the sharded engine (shard/sharded_engine.h,
-// backend "sharded_les3") guards each shard with a reader-writer lock so
-// every mutating op IS safe concurrently with queries and with other
-// mutations — see docs/sharding.md and docs/mutability.md. db() returns a
-// bare reference and therefore inherits the single-index contract even on
-// the sharded engine; use StableDb() wherever mutations may run
-// concurrently.
+// ops (Insert/Delete/Update) share one per-backend contract, reported by
+// SupportsConcurrentInsert(): the in-memory LES3 backends ("les3" and
+// "sharded_les3", both shard/sharded_engine.h — les3 is its one-shard
+// case) guard each shard with a reader-writer lock, so every mutating op
+// IS safe concurrently with queries and with other mutations; on
+// brute_force, the only other backend that mutates, they are NOT safe
+// concurrently with queries on the same engine — see docs/sharding.md
+// and docs/mutability.md. db() returns a bare reference and bypasses
+// those locks; use StableDb() wherever mutations may run concurrently.
 
 #ifndef LES3_API_SEARCH_ENGINE_H_
 #define LES3_API_SEARCH_ENGINE_H_
@@ -121,12 +121,13 @@ class SearchEngine {
   /// stale-bit debt and splits overgrown groups, returning the ops
   /// counters. Exactness-preserving — answers before and after are
   /// identical. NotSupported on backends without self-healing maintenance;
-  /// the sharded engine overrides it (one bounded cycle per shard).
+  /// the sharded engine (les3, sharded_les3) overrides it (one bounded
+  /// cycle per shard).
   virtual Result<search::MaintenanceReport> MaintainNow();
 
   /// Whether the mutating ops (Insert/Delete/Update) are safe concurrently
   /// with Knn/Range (and with each other) on this engine — the sharded
-  /// engine's upgraded contract. Layers that interleave reads and writes
+  /// engine's upgraded contract (les3 and sharded_les3). Layers that interleave reads and writes
   /// on one engine (the network server, serve/server.h) key their locking
   /// off this: when false they serialize mutations against queries
   /// themselves.
@@ -135,8 +136,9 @@ class SearchEngine {
   /// Persists the built index as a versioned snapshot
   /// (docs/snapshot_format.md) that EngineBuilder::Open reloads without
   /// any partitioning or training work. Supported by the les3-family
-  /// backends (les3, disk_les3); others return NotSupported. Not safe
-  /// concurrently with Insert on the same engine.
+  /// backends (les3, disk_les3, sharded_les3); others return
+  /// NotSupported. Safe concurrently with mutations on les3 and
+  /// sharded_les3 (they wait); on disk_les3 the index is static.
   virtual Status Save(const std::string& path) const;
 
   /// Index footprint in bytes (Figure 11's metric); 0 for index-free
@@ -155,7 +157,7 @@ class SearchEngine {
   /// without concurrent-mutation support this aliases the live database
   /// (no copy — the caller already must not mutate concurrently, per the
   /// contract above); the sharded engine overrides it to return a private
-  /// copy taken under its locks, a consistent point-in-time snapshot that
+  /// copy taken under its locks (les3 included), a consistent point-in-time snapshot that
   /// later mutations never touch (O(|D|) per call — a tooling/inspection
   /// path, not a query path).
   virtual std::shared_ptr<const SetDatabase> StableDb() const;

@@ -295,6 +295,7 @@ Result<LoadedSnapshot> DecodeSnapshotV1(ByteReader& reader,
   bool have_meta = false, have_db = false, have_partition = false,
        have_columns = false, have_models = false, have_end = false;
   SetDatabase db;
+  ShardSnapshot shard;
   uint32_t num_groups = 0;
   // TGMC needs the partition; stash its payload until both are seen.
   const uint8_t* columns_payload = nullptr;
@@ -327,7 +328,7 @@ Result<LoadedSnapshot> DecodeSnapshotV1(ByteReader& reader,
       case ChunkType::kPartition:
         LES3_RETURN_NOT_OK(mark_once(&have_partition, "PART"));
         LES3_RETURN_NOT_OK(DecodePartition(&chunk, allow_tombstones,
-                                           &num_groups, &snapshot.assignment));
+                                           &num_groups, &shard.assignment));
         break;
       case ChunkType::kTgmColumns:
         LES3_RETURN_NOT_OK(mark_once(&have_columns, "TGMC"));
@@ -376,7 +377,7 @@ Result<LoadedSnapshot> DecodeSnapshotV1(ByteReader& reader,
         "META shape disagrees with the DB chunk");
   }
   if (snapshot.meta.num_groups != num_groups ||
-      snapshot.assignment.size() != db.size()) {
+      shard.assignment.size() != db.size()) {
     return Status::InvalidArgument(
         "META/PART shape disagrees with the DB chunk");
   }
@@ -384,7 +385,7 @@ Result<LoadedSnapshot> DecodeSnapshotV1(ByteReader& reader,
   // are deleted; the writer already dropped their tokens, and a sentinel
   // entry that still carries tokens means the file was stitched together.
   for (SetId i = 0; i < db.size(); ++i) {
-    if (snapshot.assignment[i] != kInvalidGroup) continue;
+    if (shard.assignment[i] != kInvalidGroup) continue;
     if (db.set_size(i) != 0) {
       return Status::InvalidArgument(
           "tombstoned set " + std::to_string(i) + " carries tokens");
@@ -393,7 +394,7 @@ Result<LoadedSnapshot> DecodeSnapshotV1(ByteReader& reader,
   }
 
   ByteReader columns(columns_payload, columns_len);
-  auto tgm = tgm::Tgm::Deserialize(snapshot.assignment, num_groups,
+  auto tgm = tgm::Tgm::Deserialize(shard.assignment, num_groups,
                                    SliceSetSizes(db, 0, 1), &columns);
   if (!tgm.ok()) {
     return Status::FromCode(tgm.status().code(),
@@ -402,15 +403,16 @@ Result<LoadedSnapshot> DecodeSnapshotV1(ByteReader& reader,
   if (!columns.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in TGMC chunk");
   }
-  snapshot.tgm = std::move(tgm).ValueOrDie();
-  if (snapshot.tgm.bitmap_backend() != snapshot.meta.bitmap_backend) {
+  shard.tgm = std::move(tgm).ValueOrDie();
+  if (shard.tgm.bitmap_backend() != snapshot.meta.bitmap_backend) {
     return Status::InvalidArgument(
         "META bitmap backend disagrees with the TGMC chunk");
   }
-  if (snapshot.tgm.num_token_columns() > db.num_tokens()) {
+  if (shard.tgm.num_token_columns() > db.num_tokens()) {
     return Status::InvalidArgument(
         "TGMC chunk has more columns than the token universe");
   }
+  snapshot.shards.push_back(std::move(shard));
   snapshot.db = std::make_shared<SetDatabase>(std::move(db));
   return snapshot;
 }

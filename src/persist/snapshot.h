@@ -90,10 +90,11 @@ struct SnapshotMeta {
   uint32_t num_shards = 1;   // encoded (and > 1 only) in v2 files
 };
 
-/// One shard of a v2 snapshot: the shard's partition over its local set
-/// ids plus its TGM, ready to query. Which global ids belong to the shard
-/// is not stored — it is the deterministic hash split (id mod num_shards),
-/// re-derived from the DB chunk on load.
+/// One shard of a snapshot: the shard's partition over its local set ids
+/// plus its TGM, ready to query. Which global ids belong to the shard is
+/// not stored — it is the deterministic hash split (id mod num_shards),
+/// re-derived from the DB chunk on load. A v1 file is the one-shard case,
+/// whose local ids are the global ids.
 struct ShardSnapshot {
   std::vector<GroupId> assignment;  // per local set id
   tgm::Tgm tgm;
@@ -105,12 +106,10 @@ struct LoadedSnapshot {
   uint32_t version = kSnapshotVersion;
   SnapshotMeta meta;
   std::shared_ptr<SetDatabase> db;
-  // v1 (single-index) payload:
-  std::vector<GroupId> assignment;  // per set; what the PART chunk held
-  tgm::Tgm tgm;                     // columns + membership, ready to query
-  std::vector<l2p::CascadeModelSnapshot> models;  // empty if not persisted
-  // v2 (sharded) payload: one entry per shard, in shard order.
+  /// One entry per shard, in shard order; exactly one for a v1 file.
   std::vector<ShardSnapshot> shards;
+  /// Trained cascade weights; v1 only, empty if not persisted.
+  std::vector<l2p::CascadeModelSnapshot> models;
 };
 
 /// Serializes one snapshot into `out` (exposed separately from the file
@@ -137,13 +136,15 @@ void EncodeShardedSnapshot(const SnapshotMeta& meta, const SetDatabase& db,
 /// Parses and fully validates a snapshot byte buffer (either version).
 Result<LoadedSnapshot> DecodeSnapshot(const void* data, size_t size);
 
-/// EncodeSnapshot + atomic-ish file write (write then rename would need a
-/// temp dir policy; this writes directly and reports IO errors).
+/// EncodeSnapshot + crash-safe file write (WriteFileBytes: temp file,
+/// fsync, rename over `path`, directory fsync). On failure the previous
+/// file at `path` is untouched.
 Status SaveSnapshot(const std::string& path, const SnapshotMeta& meta,
                     const SetDatabase& db, const tgm::Tgm& tgm,
                     const std::vector<l2p::CascadeModelSnapshot>& models);
 
-/// EncodeShardedSnapshot + file write (same policy as SaveSnapshot).
+/// EncodeShardedSnapshot + the same crash-safe file write as
+/// SaveSnapshot.
 Status SaveShardedSnapshot(const std::string& path, const SnapshotMeta& meta,
                            const SetDatabase& db,
                            const std::vector<const tgm::Tgm*>& shard_tgms,

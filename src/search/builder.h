@@ -38,9 +38,9 @@ struct Les3BuildOptions {
 /// \brief The one L2P-partition-then-index build path.
 ///
 /// Runs L2P over `*db` and constructs the index over the shared database.
-/// Both the single-index engines and every shard of the sharded engine
-/// (shard/sharded_engine.h) build through this function — a shard is just
-/// a database slice, so the single-index path is the 1-shard special case.
+/// Every shard of the sharded engine (shard/sharded_engine.h, which is
+/// also the one-shard `les3` backend) builds through this function — a
+/// shard is just a database slice.
 /// When `out_cascade` is non-null it receives the cascade result
 /// (including trained model snapshots if options.cascade.keep_models).
 /// `db` must be non-null and non-empty.

@@ -18,8 +18,8 @@
 // MaintenanceOptions::max_ops_per_cycle, so a cycle is a short
 // writer-lock critical section, never a rebuild.
 //
-// MaintenanceThread runs cycles on an interval; ShardedEngine owns one
-// and rotates it across shards, taking each shard's writer lock only for
+// MaintenanceThread runs cycles on an interval; ShardedEngine (and so
+// les3, its one-shard case) owns one and rotates it across shards, taking each shard's writer lock only for
 // the duration of that shard's cycle (queries on other shards proceed).
 
 #ifndef LES3_SEARCH_MAINTENANCE_H_
@@ -41,7 +41,10 @@ namespace les3 {
 namespace search {
 
 /// Per-group query-activity counters, fed from the CandidateVerifier
-/// on_group hook. Observe() runs under the engine's reader lock (relaxed
+/// on_group hook. The hook reports a visited group's size-window run
+/// length before the per-member count cap can end the run early, so the
+/// candidate part of a score is an upper bound on the members actually
+/// verified. Observe() runs under the engine's reader lock (relaxed
 /// atomics, no contention with other readers); Grow() and Drain() run
 /// under the writer lock, so they never race an Observe.
 class GroupActivity {
@@ -51,16 +54,18 @@ class GroupActivity {
   /// Ensures capacity for `num_groups` groups, preserving counts.
   void Grow(size_t num_groups);
 
-  /// Records one group visit that let `candidates` members through the
-  /// size window. Out-of-range groups (raced with a split before Grow)
-  /// are dropped — maintenance heuristics tolerate undercounting.
+  /// Records one group visit whose size window held `candidates` members
+  /// (an upper bound on those verified: the count cap may stop the run
+  /// sooner). Out-of-range groups (raced with a split before Grow) are
+  /// dropped — maintenance heuristics tolerate undercounting.
   void Observe(GroupId g, size_t candidates) {
     if (g < size_) {
       counts_[g].fetch_add(1 + candidates, std::memory_order_relaxed);
     }
   }
 
-  /// Activity score of group `g` (visits + candidates verified).
+  /// Activity score of group `g`: visits plus size-window candidates,
+  /// which bound the members verified from above.
   uint64_t Score(GroupId g) const {
     return g < size_ ? counts_[g].load(std::memory_order_relaxed) : 0;
   }

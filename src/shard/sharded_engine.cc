@@ -31,11 +31,13 @@ std::vector<SetView> Views(const std::vector<SetRecord>& queries) {
 
 }  // namespace
 
-ShardedEngine::ShardedEngine(std::shared_ptr<SetDatabase> db,
+ShardedEngine::ShardedEngine(api::Backend backend,
+                             std::shared_ptr<SetDatabase> db,
                              size_t num_shards, SimilarityMeasure measure,
                              bitmap::BitmapBackend bitmap_backend,
                              size_t num_threads, bool from_snapshot)
     : api::SearchEngine(num_threads),
+      backend_(backend),
       global_db_(std::move(db)),
       measure_(measure),
       bitmap_backend_(bitmap_backend),
@@ -75,11 +77,14 @@ std::vector<std::shared_ptr<SetDatabase>> ShardedEngine::SplitDb(
 
 std::unique_ptr<ShardedEngine> ShardedEngine::Build(
     std::shared_ptr<SetDatabase> db, const api::EngineOptions& options) {
-  size_t num_shards = options.num_shards == 0 ? 1 : options.num_shards;
+  const bool single_index = options.backend == api::Backend::kLes3;
+  size_t num_shards =
+      single_index || options.num_shards == 0 ? 1 : options.num_shards;
   // Clamp so every shard starts with at least one set (residues 0..S-1
   // all occur when S <= |D|); insert routing uses the clamped count.
   if (num_shards > db->size()) num_shards = db->size();
   std::unique_ptr<ShardedEngine> engine(new ShardedEngine(
+      single_index ? api::Backend::kLes3 : api::Backend::kShardedLes3,
       std::move(db), num_shards, options.measure, options.bitmap_backend,
       options.num_threads, /*from_snapshot=*/false));
 
@@ -88,8 +93,8 @@ std::unique_ptr<ShardedEngine> ShardedEngine::Build(
   build.num_groups = options.num_groups;
   build.cascade = options.cascade;
   build.bitmap_backend = options.bitmap_backend;
-  // Sharded snapshots do not carry trained cascades (format v2).
-  build.cascade.keep_models = false;
+  // Only the v1 format carries a trained cascade, and v1 is one shard.
+  build.cascade.keep_models = single_index && options.keep_l2p_models;
   size_t hw = HardwareThreads();
   if (num_shards > 1 && build.cascade.num_threads == 0) {
     // Shard-level parallelism replaces cascade-level parallelism: S
@@ -110,22 +115,32 @@ std::unique_ptr<ShardedEngine> ShardedEngine::Build(
         std::max(floor, build.cascade.pairs_per_model / num_shards);
   }
 
+  l2p::CascadeResult cascade_result;
   ThreadPool build_pool(std::min(num_shards, hw));
   build_pool.ParallelFor(num_shards, [&](size_t s) {
-    engine->shards_[s]->index = std::make_unique<search::Les3Index>(
-        search::BuildIndexOverShared(engine->shards_[s]->db, build));
+    engine->shards_[s]->index =
+        std::make_unique<search::Les3Index>(search::BuildIndexOverShared(
+            engine->shards_[s]->db, build,
+            build.cascade.keep_models ? &cascade_result : nullptr));
     engine->activities_[s]->Grow(engine->shards_[s]->index->tgm().num_groups());
   });
+  engine->l2p_models_ = std::move(cascade_result.models);
   return engine;
 }
 
 std::unique_ptr<ShardedEngine> ShardedEngine::FromSnapshot(
     persist::LoadedSnapshot snapshot, const api::OpenOptions& options) {
   size_t num_shards = snapshot.shards.size();
+  // EngineBuilder::Open opens a v1 file only as les3 and a v2 file only
+  // as sharded_les3, so the version names the backend.
   std::unique_ptr<ShardedEngine> engine(new ShardedEngine(
+      snapshot.version == persist::kSnapshotVersion
+          ? api::Backend::kLes3
+          : api::Backend::kShardedLes3,
       std::move(snapshot.db), num_shards, snapshot.meta.measure,
       snapshot.meta.bitmap_backend, options.num_threads,
       /*from_snapshot=*/true));
+  engine->l2p_models_ = std::move(snapshot.models);
   for (size_t s = 0; s < num_shards; ++s) {
     engine->shards_[s]->index = std::make_unique<search::Les3Index>(
         engine->shards_[s]->db, std::move(snapshot.shards[s].tgm),
@@ -162,7 +177,7 @@ std::vector<ShardedEngine::Probe> ShardedEngine::Scatter(
           [this, s](GroupId g, size_t candidates) {
             activities_[s]->Observe(g, candidates);
           });
-      shard_size = sh.db->size();
+      shard_size = sh.db->num_live();
     }
     for (size_t q = 0; q < n; ++q) {
       Probe& p = probes[(begin + q) * num_shards + s];
@@ -398,9 +413,13 @@ Status ShardedEngine::Save(const std::string& path) const {
   locks.reserve(shards_.size());
   for (const auto& sh : shards_) locks.emplace_back(sh->mu);
   persist::SnapshotMeta meta;
-  meta.backend = "sharded_les3";
+  meta.backend = api::ToString(backend_);
   meta.measure = measure_;
   meta.bitmap_backend = bitmap_backend_;
+  if (backend_ == api::Backend::kLes3) {
+    return persist::SaveSnapshot(path, meta, *global_db_,
+                                 shards_[0]->index->tgm(), l2p_models_);
+  }
   std::vector<const tgm::Tgm*> tgms;
   std::vector<const SetDatabase*> dbs;
   tgms.reserve(shards_.size());
@@ -422,7 +441,8 @@ uint64_t ShardedEngine::IndexBytes() const {
 }
 
 std::string ShardedEngine::Describe() const {
-  std::string s = "sharded_les3(shards=" + std::to_string(shards_.size()) +
+  std::string s = api::ToString(backend_) +
+                  "(shards=" + std::to_string(shards_.size()) +
                   ", measure=" + ToString(measure_) +
                   ", bitmap=" + bitmap::ToString(bitmap_backend_) +
                   ", groups=[";
@@ -434,8 +454,13 @@ std::string ShardedEngine::Describe() const {
     dirt += shards_[i]->index->tgm().TotalDirt();
   }
   s += "]";
+  if (!l2p_models_.empty()) {
+    s += ", l2p_models=" + std::to_string(l2p_models_.size());
+  }
   if (from_snapshot_) {
-    s += ", snapshot=v" + std::to_string(persist::kSnapshotVersionSharded);
+    s += ", snapshot=v" + std::to_string(backend_ == api::Backend::kLes3
+                                             ? persist::kSnapshotVersion
+                                             : persist::kSnapshotVersionSharded);
   }
   s += ")";
   {

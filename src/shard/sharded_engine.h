@@ -37,6 +37,13 @@
 // Snapshots: Save writes format v2 (docs/snapshot_format.md) — the global
 // database plus one PART/TGMC pair per shard — and EngineBuilder::Open
 // reconstructs the engine with zero partitioning or training work.
+//
+// The single-index backend `les3` is this engine with one shard: the
+// slice is the global database, every query grid is one cell run on the
+// caller, and Save writes the v1 single-index format (with the trained
+// L2P cascade when it was kept). The backend name the engine was built or
+// opened as picks the snapshot version, the Describe() prefix, and
+// whether trained models are kept.
 
 #ifndef LES3_SHARD_SHARDED_ENGINE_H_
 #define LES3_SHARD_SHARDED_ENGINE_H_
@@ -61,15 +68,17 @@ namespace shard {
 class ShardedEngine : public api::SearchEngine {
  public:
   /// Splits `db` by id mod num_shards and builds every shard's index in
-  /// parallel. `db` must be non-null and non-empty; options.num_shards
-  /// must be >= 1 (EngineBuilder validates both) and is clamped to the
-  /// database size so no shard starts empty.
+  /// parallel. `db` must be non-null and non-empty. options.backend is
+  /// kLes3 (one shard; options.num_shards ignored; keep_l2p_models kept)
+  /// or kShardedLes3 (options.num_shards >= 1, clamped to the database
+  /// size so no shard starts empty); EngineBuilder validates all of it.
   static std::unique_ptr<ShardedEngine> Build(
       std::shared_ptr<SetDatabase> db, const api::EngineOptions& options);
 
-  /// Reconstructs the engine from a decoded v2 snapshot — zero
-  /// partitioning or training work; the decoder has already validated
-  /// every shard's shape against the id-mod-S split.
+  /// Reconstructs the engine from a decoded snapshot — zero partitioning
+  /// or training work; the decoder has already validated every shard's
+  /// shape against the id-mod-S split. A v1 snapshot opens as `les3`
+  /// (one shard, models carried over), a v2 one as `sharded_les3`.
   static std::unique_ptr<ShardedEngine> FromSnapshot(
       persist::LoadedSnapshot snapshot, const api::OpenOptions& options);
 
@@ -119,8 +128,9 @@ class ShardedEngine : public api::SearchEngine {
   /// (shard locks serialize the cycles). Never fails on this backend.
   Result<search::MaintenanceReport> MaintainNow() override;
 
-  /// Writes a v2 sharded snapshot. Takes every shard lock, so it is safe
-  /// concurrently with queries and Inserts (they wait).
+  /// Writes a v1 snapshot as `les3`, a v2 one as `sharded_les3`. Takes
+  /// every shard lock, so it is safe concurrently with queries and
+  /// Inserts (they wait).
   Status Save(const std::string& path) const override;
 
   uint64_t IndexBytes() const override;
@@ -167,16 +177,17 @@ class ShardedEngine : public api::SearchEngine {
   };
 
   /// What one shard contributes to a query: hits already mapped to global
-  /// ids, the shard's stats, and its current size (for pruning
-  /// efficiency over the whole database).
+  /// ids, the shard's stats, and its live population (for pruning
+  /// efficiency over the whole database; deleted ids are not searchable,
+  /// as in the per-index figure).
   struct Probe {
     std::vector<Hit> hits;
     search::QueryStats stats;
     uint64_t shard_size = 0;
   };
 
-  ShardedEngine(std::shared_ptr<SetDatabase> db, size_t num_shards,
-                SimilarityMeasure measure,
+  ShardedEngine(api::Backend backend, std::shared_ptr<SetDatabase> db,
+                size_t num_shards, SimilarityMeasure measure,
                 bitmap::BitmapBackend bitmap_backend, size_t num_threads,
                 bool from_snapshot);
 
@@ -220,11 +231,16 @@ class ShardedEngine : public api::SearchEngine {
   /// One bounded maintenance cycle on shard `s`, under its writer lock.
   search::MaintenanceReport MaintainShard(size_t s);
 
+  /// kLes3 or kShardedLes3 (file comment above).
+  api::Backend backend_;
   std::shared_ptr<SetDatabase> global_db_;
   std::vector<std::unique_ptr<Shard>> shards_;
   SimilarityMeasure measure_;
   bitmap::BitmapBackend bitmap_backend_;
   bool from_snapshot_;
+  /// Trained cascade weights carried for a v1 Save (`les3` only; nothing
+  /// on the query or mutation path reads them).
+  std::vector<l2p::CascadeModelSnapshot> l2p_models_;
   /// Serializes global-id assignment and global_db_ mutation across
   /// concurrent Insert/Delete/Update (and StableDb copies); always
   /// acquired before any shard lock.

@@ -516,11 +516,70 @@ TEST(MutabilityEngineTest, DeleteUpdateStatusContract) {
 
 TEST(MutabilityEngineTest, DefaultStableDbAliasesTheLiveDatabase) {
   // Engines on the serialized-mutation contract return a no-copy alias;
-  // the caller already must not mutate concurrently.
-  auto engine = BuildEngine("les3");
+  // the caller already must not mutate concurrently. (les3 is a one-shard
+  // sharded engine and copies, like sharded_les3.)
+  auto engine = BuildEngine("brute_force");
   ASSERT_NE(engine, nullptr);
   std::shared_ptr<const SetDatabase> view = engine->StableDb();
   EXPECT_EQ(view.get(), &engine->db());
+}
+
+TEST(MutabilityEngineTest, Les3MaintainNowAfterDeletesMatchesBruteForce) {
+  auto engine = BuildEngine("les3");
+  ASSERT_NE(engine, nullptr);
+  EXPECT_TRUE(engine->SupportsConcurrentInsert());
+  // Every 3rd set deleted plus a few updates: stale column bits in most
+  // groups, so maintenance has debt to pay.
+  for (SetId id = 0; id < engine->db().size(); id += 3) {
+    ASSERT_TRUE(engine->Delete(id).ok()) << id;
+  }
+  for (SetId id = 1; id < 40; id += 6) {
+    ASSERT_TRUE(engine
+                    ->Update(id, Rec({static_cast<TokenId>(id % 60),
+                                      static_cast<TokenId>(59 - id % 7)}))
+                    .ok())
+        << id;
+  }
+  ASSERT_NE(engine->Describe().find("dirt="), std::string::npos)
+      << engine->Describe();
+
+  search::MaintenanceReport total;
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    Result<search::MaintenanceReport> report = engine->MaintainNow();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    if (report.value().splits + report.value().recomputes == 0) break;
+    total += report.value();
+  }
+  EXPECT_GT(total.recomputes, 0u);
+  EXPECT_GT(total.bits_dropped, 0u);
+
+  // The healed engine answers exactly like brute force over the same
+  // (tombstoned) database, ties included.
+  auto oracle = api::EngineBuilder::Build(
+      std::make_shared<SetDatabase>(*engine->StableDb()), "brute_force",
+      api::EngineOptions());
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  for (SetId id = 0; id < engine->db().size(); id += 5) {
+    SetRecord q(engine->db().set(id));
+    for (size_t k : {1u, 7u, 200u}) {
+      auto expected = oracle.value()->Knn(q.view(), k);
+      auto actual = engine->Knn(q.view(), k);
+      ASSERT_EQ(expected.hits.size(), actual.hits.size()) << id << "/" << k;
+      for (size_t r = 0; r < expected.hits.size(); ++r) {
+        EXPECT_EQ(expected.hits[r].first, actual.hits[r].first)
+            << "q=" << id << " k=" << k << " rank " << r;
+        EXPECT_DOUBLE_EQ(expected.hits[r].second, actual.hits[r].second)
+            << "q=" << id << " k=" << k << " rank " << r;
+      }
+    }
+    auto expected = oracle.value()->Range(q.view(), 0.4);
+    auto actual = engine->Range(q.view(), 0.4);
+    ASSERT_EQ(expected.hits.size(), actual.hits.size()) << "q=" << id;
+    for (size_t r = 0; r < expected.hits.size(); ++r) {
+      EXPECT_EQ(expected.hits[r].first, actual.hits[r].first)
+          << "range q=" << id << " rank " << r;
+    }
+  }
 }
 
 TEST(MutabilityEngineTest, ShardedStableDbIsIsolatedFromLaterMutations) {

@@ -1,10 +1,10 @@
-// Concurrency contract of the sharded engine, exercised under
-// ThreadSanitizer in CI: Insert is safe concurrently with Knn/Range on
-// every shard and with other Inserts. Writer threads stream new sets in
-// while reader threads hammer queries; afterwards the quiesced engine
-// must agree exactly with brute force over the grown database — so the
-// test catches both data races (TSan) and lost/duplicated updates
-// (the differential check).
+// Concurrency contract of the sharded engine (and of les3, its one-shard
+// case), exercised under ThreadSanitizer in CI: Insert is safe
+// concurrently with Knn/Range on every shard and with other Inserts.
+// Writer threads stream new sets in while reader threads hammer queries;
+// afterwards the quiesced engine must agree exactly with brute force over
+// the grown database — so the test catches both data races (TSan) and
+// lost/duplicated updates (the differential check).
 
 #include <gtest/gtest.h>
 
@@ -227,13 +227,13 @@ TEST(ShardConcurrencyTest, StableDbSafeDuringMutations) {
 // background cycles split/recompute groups under the same shard locks.
 // Afterwards the quiesced engine (plus one synchronous full maintenance
 // pass) must agree exactly with brute force over the survivor state.
-TEST(ShardConcurrencyTest, MutationSoakWithMaintenanceStaysExact) {
+void RunMutationSoakWithMaintenance(const EngineOptions& options) {
   constexpr uint32_t kInitialSets = 240;
   auto db = MakeDb(54, kInitialSets);
   std::vector<SetRecord> queries;
   for (SetId qid = 0; qid < 20; ++qid) queries.emplace_back(db->set(qid * 11));
 
-  auto built = EngineBuilder::Build(db, ShardedOptions(3));
+  auto built = EngineBuilder::Build(db, options);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   SearchEngine* engine = built.value().get();
   auto* sharded = dynamic_cast<shard::ShardedEngine*>(engine);
@@ -325,6 +325,18 @@ TEST(ShardConcurrencyTest, MutationSoakWithMaintenanceStaysExact) {
           << "q=" << qid << " rank " << i;
     }
   }
+}
+
+TEST(ShardConcurrencyTest, MutationSoakWithMaintenanceStaysExact) {
+  RunMutationSoakWithMaintenance(ShardedOptions(3));
+}
+
+// The single-index backend is the one-shard engine and inherits the same
+// contract: unserialized mutations, queries and background maintenance.
+TEST(ShardConcurrencyTest, Les3MutationSoakWithMaintenanceStaysExact) {
+  EngineOptions options = ShardedOptions(3);  // num_shards ignored for les3
+  options.backend = Backend::kLes3;
+  RunMutationSoakWithMaintenance(options);
 }
 
 // The batched probe pipeline under fire — the TSan leg for the fused

@@ -249,6 +249,75 @@ TEST(SnapshotTest, ResaveAfterLoadIsByteIdentical) {
   std::remove(path2.c_str());
 }
 
+// les3 is the one-shard sharded engine, but it keeps the single-index
+// artifact: Save writes v1 (with the trained cascade when it was kept),
+// a reopen re-saves to the very same bytes, and the v1/v2 pairing with
+// the backend name is enforced both ways.
+class Les3SnapshotTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(Les3SnapshotTest, BuildSaveOpenSaveIsByteIdentical) {
+  const bool keep_models = GetParam();
+  auto db = std::make_shared<SetDatabase>(MakeDb(220, 33));
+  auto options =
+      FastOptions(SimilarityMeasure::kJaccard, bitmap::BitmapBackend::kRoaring);
+  options.keep_l2p_models = keep_models;
+  options.num_shards = 4;  // ignored: les3 is always one shard
+  auto original = api::EngineBuilder::Build(db, "les3", options);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  std::string describe = original.value()->Describe();
+  EXPECT_EQ(describe.rfind("les3(shards=1,", 0), 0u) << describe;
+  EXPECT_EQ(describe.find("l2p_models=") != std::string::npos, keep_models)
+      << describe;
+
+  const std::string tag = keep_models ? "models" : "nomodels";
+  std::string path1 = TempPath("les3_resave1_" + tag + ".snap");
+  std::string path2 = TempPath("les3_resave2_" + tag + ".snap");
+  ASSERT_TRUE(original.value()->Save(path1).ok());
+  auto reloaded = api::EngineBuilder::Open(path1);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded.value()->Describe().rfind("les3(shards=1,", 0), 0u)
+      << reloaded.value()->Describe();
+  ASSERT_TRUE(reloaded.value()->Save(path2).ok());
+
+  std::vector<uint8_t> bytes1, bytes2;
+  ASSERT_TRUE(ReadFileBytes(path1, &bytes1).ok());
+  ASSERT_TRUE(ReadFileBytes(path2, &bytes2).ok());
+  EXPECT_EQ(bytes1, bytes2);
+  auto decoded = DecodeSnapshot(bytes1.data(), bytes1.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().version, kSnapshotVersion);
+  EXPECT_EQ(decoded.value().meta.backend, "les3");
+  EXPECT_EQ(decoded.value().shards.size(), 1u);
+  EXPECT_EQ(decoded.value().models.empty(), !keep_models);
+
+  // A v1 file never reopens as the sharded engine...
+  api::OpenOptions as_sharded;
+  as_sharded.backend = "sharded_les3";
+  auto refused = api::EngineBuilder::Open(path1, as_sharded);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+  // ...and a v2 file never reopens as les3.
+  auto sharded = api::EngineBuilder::Build(db, "sharded_les3", options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  std::string v2_path = TempPath("les3_kind_v2_" + tag + ".snap");
+  ASSERT_TRUE(sharded.value()->Save(v2_path).ok());
+  api::OpenOptions as_les3;
+  as_les3.backend = "les3";
+  auto refused_v2 = api::EngineBuilder::Open(v2_path, as_les3);
+  ASSERT_FALSE(refused_v2.ok());
+  EXPECT_EQ(refused_v2.status().code(), StatusCode::kInvalidArgument);
+
+  std::remove(path1.c_str());
+  std::remove(path2.c_str());
+  std::remove(v2_path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(KeepModels, Les3SnapshotTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "WithModels" : "WithoutModels";
+                         });
+
 TEST(SnapshotTest, FailedSaveKeepsThePreviousSnapshot) {
   // Save writes path.tmp and renames it over the target. A directory
   // squatting on path.tmp makes that write fail: Save must report IOError
