@@ -17,8 +17,11 @@ QueryResult NonFiniteDeltaResult(double delta) {
 }  // namespace
 
 ThreadPool& SearchEngine::pool() const {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(batch_threads_);
+  // call_once's completed path is one acquire load: scatter calls this per
+  // query, so an engine-wide mutex here would serialize concurrent queries.
+  std::call_once(pool_once_, [this] {
+    pool_ = std::make_unique<ThreadPool>(batch_threads_);
+  });
   return *pool_;
 }
 

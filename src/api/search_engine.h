@@ -127,10 +127,10 @@ class SearchEngine {
 
   /// Whether the mutating ops (Insert/Delete/Update) are safe concurrently
   /// with Knn/Range (and with each other) on this engine — the sharded
-  /// engine's upgraded contract (les3 and sharded_les3). Layers that interleave reads and writes
-  /// on one engine (the network server, serve/server.h) key their locking
-  /// off this: when false they serialize mutations against queries
-  /// themselves.
+  /// engine's upgraded contract (les3 and sharded_les3). Layers that
+  /// interleave reads and writes on one engine (the network server,
+  /// serve/server.h) key their locking off this: when false they
+  /// serialize mutations against queries themselves.
   virtual bool SupportsConcurrentInsert() const { return false; }
 
   /// Persists the built index as a versioned snapshot
@@ -156,10 +156,10 @@ class SearchEngine {
   /// A database view that is safe to read while mutations run. On engines
   /// without concurrent-mutation support this aliases the live database
   /// (no copy — the caller already must not mutate concurrently, per the
-  /// contract above); the sharded engine overrides it to return a private
-  /// copy taken under its locks (les3 included), a consistent point-in-time snapshot that
-  /// later mutations never touch (O(|D|) per call — a tooling/inspection
-  /// path, not a query path).
+  /// contract above); the sharded engine (les3 included) overrides it to
+  /// return a private copy taken under its locks, a consistent
+  /// point-in-time snapshot that later mutations never touch (O(|D|) per
+  /// call — a tooling/inspection path, not a query path).
   virtual std::shared_ptr<const SetDatabase> StableDb() const;
 
  protected:
@@ -187,7 +187,7 @@ class SearchEngine {
 
  private:
   size_t batch_threads_;
-  mutable std::mutex pool_mu_;
+  mutable std::once_flag pool_once_;
   mutable std::unique_ptr<ThreadPool> pool_;
 };
 

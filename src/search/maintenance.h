@@ -19,8 +19,9 @@
 // writer-lock critical section, never a rebuild.
 //
 // MaintenanceThread runs cycles on an interval; ShardedEngine (and so
-// les3, its one-shard case) owns one and rotates it across shards, taking each shard's writer lock only for
-// the duration of that shard's cycle (queries on other shards proceed).
+// les3, its one-shard case) owns one and rotates it across shards, taking
+// each shard's writer lock only for the duration of that shard's cycle
+// (queries on other shards proceed).
 
 #ifndef LES3_SEARCH_MAINTENANCE_H_
 #define LES3_SEARCH_MAINTENANCE_H_

@@ -159,7 +159,8 @@ std::vector<ShardedEngine::Probe> ShardedEngine::Scatter(
   // batched probe (one column walk per chunk) under a single reader-lock
   // acquisition; each shard still sees every chunk, so the grid keeps all
   // cores busy even on few-shard engines.
-  pool().ParallelFor(num_chunks * num_shards, [&](size_t t) {
+  const size_t cells = num_chunks * num_shards;
+  auto cell = [&](size_t t) {
     const size_t c = t / num_shards;
     const size_t s = t % num_shards;
     const size_t begin = c * kBatchChunk;
@@ -189,7 +190,14 @@ std::vector<ShardedEngine::Probe> ShardedEngine::Scatter(
                   static_cast<SetId>(s);
       }
     }
-  });
+  };
+  // A one-cell grid (a solo query on a one-shard engine) runs on the
+  // caller, so solo les3 queries never build the pool.
+  if (cells == 1) {
+    cell(0);
+  } else {
+    pool().ParallelFor(cells, cell);
+  }
   return probes;
 }
 
@@ -458,9 +466,10 @@ std::string ShardedEngine::Describe() const {
     s += ", l2p_models=" + std::to_string(l2p_models_.size());
   }
   if (from_snapshot_) {
-    s += ", snapshot=v" + std::to_string(backend_ == api::Backend::kLes3
-                                             ? persist::kSnapshotVersion
-                                             : persist::kSnapshotVersionSharded);
+    s += ", snapshot=v" +
+         std::to_string(backend_ == api::Backend::kLes3
+                            ? persist::kSnapshotVersion
+                            : persist::kSnapshotVersionSharded);
   }
   s += ")";
   {

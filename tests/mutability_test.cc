@@ -25,6 +25,7 @@
 #include "datagen/generators.h"
 #include "search/les3_index.h"
 #include "search/maintenance.h"
+#include "search/query_stats.h"
 #include "tgm/tgm.h"
 
 namespace les3 {
@@ -579,6 +580,45 @@ TEST(MutabilityEngineTest, Les3MaintainNowAfterDeletesMatchesBruteForce) {
       EXPECT_EQ(expected.hits[r].first, actual.hits[r].first)
           << "range q=" << id << " rank " << r;
     }
+  }
+}
+
+TEST(MutabilityEngineTest, PruningEfficiencyCountsLiveSetsAfterDeletes) {
+  // les3 and sharded_les3 report Definition 2.3 over the live population,
+  // the figure CandidateVerifier computes per index (num_live, not the
+  // id-space size that still counts tombstones).
+  for (size_t shards : {size_t{0}, size_t{3}}) {
+    const std::string backend = shards == 0 ? "les3" : "sharded_les3";
+    auto engine = BuildEngine(backend, shards);
+    ASSERT_NE(engine, nullptr);
+    for (SetId id = 0; id < engine->db().size(); id += 4) {
+      ASSERT_TRUE(engine->Delete(id).ok()) << backend << " " << id;
+    }
+    const uint64_t live = engine->db().num_live();
+    const uint64_t id_space = engine->db().size();
+    ASSERT_LT(live, id_space);
+    bool differs_from_id_space = false;
+    for (SetId id = 1; id < id_space; id += 9) {
+      SetRecord q(engine->db().set(id));
+      api::QueryResult knn = engine->Knn(q.view(), 5);
+      EXPECT_DOUBLE_EQ(knn.stats.pruning_efficiency,
+                       search::KnnPruningEfficiency(
+                           live, knn.stats.candidates_verified, 5))
+          << backend << " knn q=" << id;
+      api::QueryResult range = engine->Range(q.view(), 0.3);
+      EXPECT_DOUBLE_EQ(range.stats.pruning_efficiency,
+                       search::RangePruningEfficiency(
+                           live, range.stats.candidates_verified,
+                           range.stats.results))
+          << backend << " range q=" << id;
+      differs_from_id_space |=
+          knn.stats.pruning_efficiency !=
+          search::KnnPruningEfficiency(id_space,
+                                       knn.stats.candidates_verified, 5);
+    }
+    // The check above would pass on either population if no query ever
+    // verified more than k candidates.
+    EXPECT_TRUE(differs_from_id_space) << backend;
   }
 }
 
