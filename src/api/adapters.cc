@@ -61,7 +61,8 @@ std::string DescribeLes3(SimilarityMeasure measure, uint32_t groups,
                   ", bitmap=" + bitmap::ToString(bitmap_backend);
   if (num_models > 0) s += ", l2p_models=" + std::to_string(num_models);
   if (from_snapshot) {
-    s += ", snapshot=v" + std::to_string(persist::kSnapshotVersion);
+    s += ", snapshot=v" +
+         std::to_string(persist::SnapshotVersionOf("disk_les3"));
   }
   return s;
 }
@@ -167,8 +168,8 @@ class DiskLes3Engine : public DiskEngine<storage::DiskLes3> {
     meta.backend = "disk_les3";
     meta.measure = index_.measure();
     meta.bitmap_backend = index_.tgm().bitmap_backend();
-    return persist::SaveSnapshot(path, meta, *db_, index_.tgm(),
-                                 l2p_models_);
+    return persist::SaveSnapshot(path, meta, *db_, {&index_.tgm()},
+                                 {db_.get()}, l2p_models_);
   }
 
  private:
@@ -266,7 +267,8 @@ std::unique_ptr<SearchEngine> OpenSnapshotEngine(
     persist::LoadedSnapshot snapshot, const std::string& backend,
     const OpenOptions& options) {
   if (backend != "disk_les3") {
-    return shard::ShardedEngine::FromSnapshot(std::move(snapshot), options);
+    return shard::ShardedEngine::FromSnapshot(
+        std::move(snapshot), ParseBackend(backend).ValueOrDie(), options);
   }
   // A v1 snapshot: its one shard is the whole database.
   EngineOptions engine_options;

@@ -88,29 +88,26 @@ Result<std::unique_ptr<SearchEngine>> EngineBuilder::Open(
     const std::string& path, const OpenOptions& options) {
   auto snapshot = persist::LoadSnapshot(path);
   if (!snapshot.ok()) return snapshot.status();
-  // A single-index (v1) snapshot is shared by the les3 family — an
-  // explicit backend may reopen it memory- or disk-resident. A sharded
-  // (v2) snapshot reopens only as the sharded engine; its per-shard
-  // indexes are not a single-index artifact.
+  // A snapshot reopens as any backend that writes its version: a v1
+  // (single-index) file as les3 or disk_les3, memory- or disk-resident; a
+  // v2 (sharded) file only as sharded_les3, since its per-shard indexes
+  // are not a single-index artifact.
   std::string backend =
       options.backend.empty() ? snapshot.value().meta.backend
                               : options.backend;
-  if (backend != "les3" && backend != "disk_les3" &&
-      backend != "sharded_les3") {
+  const uint32_t backend_version = persist::SnapshotVersionOf(backend);
+  if (backend_version == 0) {
     return Status::InvalidArgument(
         "snapshots hold a les3-family index; cannot open as \"" + backend +
         "\" (use \"les3\", \"disk_les3\", \"sharded_les3\", or leave the "
         "backend empty)");
   }
-  bool snapshot_sharded =
-      snapshot.value().version == persist::kSnapshotVersionSharded;
-  if (snapshot_sharded != (backend == "sharded_les3")) {
+  if (backend_version != snapshot.value().version) {
     return Status::InvalidArgument(
-        snapshot_sharded
-            ? "this is a sharded (v2) snapshot; it reopens only as "
-              "\"sharded_les3\""
-            : "this is a single-index (v1) snapshot; it cannot reopen as "
-              "\"sharded_les3\"");
+        "this is a v" + std::to_string(snapshot.value().version) +
+        " snapshot written by \"" + snapshot.value().meta.backend +
+        "\"; \"" + backend + "\" opens only v" +
+        std::to_string(backend_version) + " snapshots");
   }
   if (options.disk.page_bytes == 0) {
     return Status::InvalidArgument("disk.page_bytes must be positive");

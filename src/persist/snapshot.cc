@@ -7,6 +7,8 @@
 #include <cstring>
 #include <utility>
 
+#include "util/logging.h"
+
 namespace les3 {
 namespace persist {
 
@@ -62,9 +64,8 @@ void EncodeDatabase(const SetDatabase& db, ByteWriter* out) {
   }
 }
 
-/// Set sizes of the slice a local Tgm covers, read off the decoded DB
-/// chunk: all sets for a single-index snapshot, every S-th starting at `s`
-/// for shard s of a v2 snapshot. Tgm::Deserialize uses them to re-derive
+/// Set sizes of the slice shard `s`'s Tgm covers, read off the decoded DB
+/// chunk: every S-th set starting at `s` (all sets when S is 1). Tgm::Deserialize uses them to re-derive
 /// the in-memory (size, id) member order — never persisted in the format.
 std::vector<uint32_t> SliceSetSizes(const SetDatabase& db, uint32_t s,
                                     uint32_t num_shards) {
@@ -261,8 +262,8 @@ Status DecodeModels(ByteReader* reader,
 }
 
 /// Reads one chunk's framing — type, length (validated against the
-/// remaining file), payload span, and CRC — shared by both version
-/// decoders so every format speaks the same robustness contract.
+/// remaining file), payload span, and CRC — so every chunk speaks the same
+/// robustness contract.
 Status NextChunk(ByteReader* reader, uint32_t* type, const uint8_t** payload,
                  uint64_t* payload_len) {
   if (reader->AtEnd()) {
@@ -288,135 +289,6 @@ Status NextChunk(ByteReader* reader, uint32_t* type, const uint8_t** payload,
   return Status::OK();
 }
 
-Result<LoadedSnapshot> DecodeSnapshotV1(ByteReader& reader,
-                                        bool allow_tombstones) {
-  LoadedSnapshot snapshot;
-  snapshot.version = kSnapshotVersion;
-  bool have_meta = false, have_db = false, have_partition = false,
-       have_columns = false, have_models = false, have_end = false;
-  SetDatabase db;
-  ShardSnapshot shard;
-  uint32_t num_groups = 0;
-  // TGMC needs the partition; stash its payload until both are seen.
-  const uint8_t* columns_payload = nullptr;
-  size_t columns_len = 0;
-
-  while (!have_end) {
-    uint32_t type = 0;
-    uint64_t payload_len = 0;
-    const uint8_t* payload = nullptr;
-    LES3_RETURN_NOT_OK(NextChunk(&reader, &type, &payload, &payload_len));
-    ByteReader chunk(payload, payload_len);
-    auto mark_once = [&](bool* seen, const char* name) -> Status {
-      if (*seen) {
-        return Status::InvalidArgument(std::string("duplicate ") + name +
-                                       " chunk");
-      }
-      *seen = true;
-      return Status::OK();
-    };
-    switch (static_cast<ChunkType>(type)) {
-      case ChunkType::kMeta:
-        LES3_RETURN_NOT_OK(mark_once(&have_meta, "META"));
-        LES3_RETURN_NOT_OK(
-            DecodeMeta(&chunk, kSnapshotVersion, &snapshot.meta));
-        break;
-      case ChunkType::kDatabase:
-        LES3_RETURN_NOT_OK(mark_once(&have_db, "DB"));
-        LES3_RETURN_NOT_OK(DecodeDatabase(&chunk, &db));
-        break;
-      case ChunkType::kPartition:
-        LES3_RETURN_NOT_OK(mark_once(&have_partition, "PART"));
-        LES3_RETURN_NOT_OK(DecodePartition(&chunk, allow_tombstones,
-                                           &num_groups, &shard.assignment));
-        break;
-      case ChunkType::kTgmColumns:
-        LES3_RETURN_NOT_OK(mark_once(&have_columns, "TGMC"));
-        columns_payload = payload;
-        columns_len = payload_len;
-        break;
-      case ChunkType::kL2pModels:
-        LES3_RETURN_NOT_OK(mark_once(&have_models, "L2P"));
-        LES3_RETURN_NOT_OK(DecodeModels(&chunk, &snapshot.models));
-        break;
-      case ChunkType::kEnd:
-        if (payload_len != 0) {
-          return Status::InvalidArgument("END chunk must be empty");
-        }
-        have_end = true;
-        break;
-      default:
-        // Unknown chunks are an error, not skippable: format changes bump
-        // the version, so an unknown type here is corruption.
-        return Status::InvalidArgument("unknown chunk type " +
-                                       std::to_string(type));
-    }
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after the END chunk");
-  }
-  if (!have_meta || !have_db || !have_partition || !have_columns) {
-    return Status::InvalidArgument(
-        "snapshot is missing a required chunk (META, DB, PART, TGMC)");
-  }
-
-  // Cross-chunk consistency. META's shape fields are redundant with the
-  // payload chunks by construction; a disagreement means the file was
-  // stitched together or corrupted in a way the per-chunk CRCs cannot see.
-  if (snapshot.meta.backend != "les3" && snapshot.meta.backend != "disk_les3") {
-    return Status::InvalidArgument("snapshot backend \"" +
-                                   snapshot.meta.backend +
-                                   "\" is not a les3-family engine");
-  }
-  if (db.empty()) {
-    return Status::InvalidArgument("snapshot contains an empty database");
-  }
-  if (snapshot.meta.num_sets != db.size() ||
-      snapshot.meta.num_tokens != db.num_tokens()) {
-    return Status::InvalidArgument(
-        "META shape disagrees with the DB chunk");
-  }
-  if (snapshot.meta.num_groups != num_groups ||
-      shard.assignment.size() != db.size()) {
-    return Status::InvalidArgument(
-        "META/PART shape disagrees with the DB chunk");
-  }
-  // Restore tombstones: the PART sentinel is the authority for which ids
-  // are deleted; the writer already dropped their tokens, and a sentinel
-  // entry that still carries tokens means the file was stitched together.
-  for (SetId i = 0; i < db.size(); ++i) {
-    if (shard.assignment[i] != kInvalidGroup) continue;
-    if (db.set_size(i) != 0) {
-      return Status::InvalidArgument(
-          "tombstoned set " + std::to_string(i) + " carries tokens");
-    }
-    db.DeleteSet(i);
-  }
-
-  ByteReader columns(columns_payload, columns_len);
-  auto tgm = tgm::Tgm::Deserialize(shard.assignment, num_groups,
-                                   SliceSetSizes(db, 0, 1), &columns);
-  if (!tgm.ok()) {
-    return Status::FromCode(tgm.status().code(),
-                            "TGMC chunk: " + tgm.status().message());
-  }
-  if (!columns.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in TGMC chunk");
-  }
-  shard.tgm = std::move(tgm).ValueOrDie();
-  if (shard.tgm.bitmap_backend() != snapshot.meta.bitmap_backend) {
-    return Status::InvalidArgument(
-        "META bitmap backend disagrees with the TGMC chunk");
-  }
-  if (shard.tgm.num_token_columns() > db.num_tokens()) {
-    return Status::InvalidArgument(
-        "TGMC chunk has more columns than the token universe");
-  }
-  snapshot.shards.push_back(std::move(shard));
-  snapshot.db = std::make_shared<SetDatabase>(std::move(db));
-  return snapshot;
-}
-
 /// Global set ids of shard `s` under the id-mod-S hash split of a database
 /// of `num_sets` sets: s, s+S, s+2S, ... — so the shard holds exactly
 /// ceil((num_sets - s) / S) sets.
@@ -425,242 +297,25 @@ uint64_t ShardLocalCount(uint64_t num_sets, uint32_t s, uint32_t num_shards) {
   return (num_sets - s + num_shards - 1) / num_shards;
 }
 
-Result<LoadedSnapshot> DecodeSnapshotV2(ByteReader& reader,
-                                        bool allow_tombstones) {
-  LoadedSnapshot snapshot;
-  snapshot.version = kSnapshotVersionSharded;
-  bool have_meta = false, have_db = false, have_end = false;
-  SetDatabase db;
-  // The writer emits one PART immediately followed by that shard's TGMC;
-  // the pending partition bridges the pair. Column payloads are only
-  // stashed here (spans into the caller's buffer) — decoding waits until
-  // after the loop, when the DB chunk is certainly available to supply the
-  // set sizes the member order is re-derived from.
-  struct PendingShard {
-    std::vector<GroupId> assignment;
-    uint32_t num_groups = 0;
-    const uint8_t* columns_payload = nullptr;
-    uint64_t columns_len = 0;
-  };
-  std::vector<PendingShard> pending_shards;
-  std::vector<GroupId> pending_assignment;
-  uint32_t pending_groups = 0;
-  bool have_pending_part = false;
-
-  while (!have_end) {
-    uint32_t type = 0;
-    uint64_t payload_len = 0;
-    const uint8_t* payload = nullptr;
-    LES3_RETURN_NOT_OK(NextChunk(&reader, &type, &payload, &payload_len));
-    ByteReader chunk(payload, payload_len);
-    switch (static_cast<ChunkType>(type)) {
-      case ChunkType::kMeta:
-        if (have_meta) {
-          return Status::InvalidArgument("duplicate META chunk");
-        }
-        have_meta = true;
-        LES3_RETURN_NOT_OK(
-            DecodeMeta(&chunk, kSnapshotVersionSharded, &snapshot.meta));
-        break;
-      case ChunkType::kDatabase:
-        if (have_db) {
-          return Status::InvalidArgument("duplicate DB chunk");
-        }
-        have_db = true;
-        LES3_RETURN_NOT_OK(DecodeDatabase(&chunk, &db));
-        break;
-      case ChunkType::kPartition:
-        if (have_pending_part) {
-          return Status::InvalidArgument(
-              "PART chunk not followed by its shard's TGMC chunk");
-        }
-        LES3_RETURN_NOT_OK(DecodePartition(&chunk, allow_tombstones,
-                                           &pending_groups,
-                                           &pending_assignment));
-        have_pending_part = true;
-        break;
-      case ChunkType::kTgmColumns: {
-        if (!have_pending_part) {
-          return Status::InvalidArgument(
-              "TGMC chunk without a preceding PART chunk");
-        }
-        PendingShard shard;
-        shard.assignment = std::move(pending_assignment);
-        shard.num_groups = pending_groups;
-        shard.columns_payload = payload;
-        shard.columns_len = payload_len;
-        pending_shards.push_back(std::move(shard));
-        pending_assignment.clear();
-        have_pending_part = false;
-        break;
-      }
-      case ChunkType::kL2pModels:
-        // The sharded engine does not persist trained cascades (each shard
-        // would need its own); a v2 file carrying one is malformed.
-        return Status::InvalidArgument(
-            "sharded snapshots do not carry L2P chunks");
-      case ChunkType::kEnd:
-        if (payload_len != 0) {
-          return Status::InvalidArgument("END chunk must be empty");
-        }
-        have_end = true;
-        break;
-      default:
-        return Status::InvalidArgument("unknown chunk type " +
-                                       std::to_string(type));
-    }
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after the END chunk");
-  }
-  if (!have_meta || !have_db || pending_shards.empty()) {
-    return Status::InvalidArgument(
-        "snapshot is missing a required chunk (META, DB, PART, TGMC)");
-  }
-  if (have_pending_part) {
-    return Status::InvalidArgument(
-        "PART chunk not followed by its shard's TGMC chunk");
-  }
-
-  // Cross-chunk consistency: META against the DB chunk, the declared shard
-  // count against the PART/TGMC pairs, and every shard's shape against the
-  // deterministic id-mod-S split the engine will re-derive on open.
-  if (snapshot.meta.backend != "sharded_les3") {
-    return Status::InvalidArgument("snapshot backend \"" +
-                                   snapshot.meta.backend +
-                                   "\" is not the sharded engine");
-  }
-  if (db.empty()) {
-    return Status::InvalidArgument("snapshot contains an empty database");
-  }
-  if (snapshot.meta.num_sets != db.size() ||
-      snapshot.meta.num_tokens != db.num_tokens()) {
-    return Status::InvalidArgument(
-        "META shape disagrees with the DB chunk");
-  }
-  if (snapshot.meta.num_shards != pending_shards.size()) {
-    return Status::InvalidArgument(
-        "META declares " + std::to_string(snapshot.meta.num_shards) +
-        " shards but the file holds " +
-        std::to_string(pending_shards.size()) + " PART/TGMC pairs");
-  }
-  uint64_t total_groups = 0;
-  for (size_t s = 0; s < pending_shards.size(); ++s) {
-    PendingShard& pending = pending_shards[s];
-    uint64_t expected = ShardLocalCount(db.size(), static_cast<uint32_t>(s),
-                                        snapshot.meta.num_shards);
-    if (pending.assignment.size() != expected) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(s) + " PART covers " +
-          std::to_string(pending.assignment.size()) + " sets; the id-mod-" +
-          std::to_string(snapshot.meta.num_shards) + " split assigns it " +
-          std::to_string(expected));
-    }
-    // Restore tombstones, mapping shard-local index l to global id
-    // l*S + s (same rules as the single-index decoder).
-    for (size_t l = 0; l < pending.assignment.size(); ++l) {
-      if (pending.assignment[l] != kInvalidGroup) continue;
-      const SetId gid = static_cast<SetId>(
-          l * snapshot.meta.num_shards + s);
-      if (db.set_size(gid) != 0) {
-        return Status::InvalidArgument(
-            "tombstoned set " + std::to_string(gid) + " carries tokens");
-      }
-      db.DeleteSet(gid);
-    }
-    ByteReader columns(pending.columns_payload, pending.columns_len);
-    auto tgm = tgm::Tgm::Deserialize(
-        pending.assignment, pending.num_groups,
-        SliceSetSizes(db, static_cast<uint32_t>(s), snapshot.meta.num_shards),
-        &columns);
-    if (!tgm.ok()) {
-      return Status::FromCode(tgm.status().code(),
-                              "shard " + std::to_string(s) +
-                                  " TGMC chunk: " + tgm.status().message());
-    }
-    if (!columns.AtEnd()) {
-      return Status::InvalidArgument("trailing bytes in TGMC chunk");
-    }
-    ShardSnapshot shard;
-    shard.assignment = std::move(pending.assignment);
-    shard.tgm = std::move(tgm).ValueOrDie();
-    if (shard.tgm.num_token_columns() > db.num_tokens()) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(s) +
-          " TGMC chunk has more columns than the token universe");
-    }
-    if (shard.tgm.bitmap_backend() != snapshot.meta.bitmap_backend) {
-      return Status::InvalidArgument(
-          "META bitmap backend disagrees with the TGMC chunk");
-    }
-    total_groups += shard.tgm.num_groups();
-    snapshot.shards.push_back(std::move(shard));
-  }
-  if (total_groups != snapshot.meta.num_groups) {
-    return Status::InvalidArgument(
-        "META group count disagrees with the per-shard PART chunks");
-  }
-  snapshot.db = std::make_shared<SetDatabase>(std::move(db));
-  return snapshot;
-}
-
 }  // namespace
 
-void EncodeSnapshot(const SnapshotMeta& meta, const SetDatabase& db,
-                    const tgm::Tgm& tgm,
-                    const std::vector<l2p::CascadeModelSnapshot>& models,
-                    ByteWriter* out) {
-  out->WriteBytes(kSnapshotMagic, sizeof(kSnapshotMagic));
-  out->WriteU32(kSnapshotVersion);
-  out->WriteU32(db.num_deleted() > 0 ? kSnapshotFlagTombstones : 0u);
-
-  SnapshotMeta filled = meta;
-  filled.num_groups = tgm.num_groups();
-  filled.num_sets = db.size();
-  filled.num_tokens = db.num_tokens();
-  filled.num_shards = 1;
-
-  size_t start = 0;
-  BeginChunk(ChunkType::kMeta, out, &start);
-  EncodeMeta(filled, kSnapshotVersion, out);
-  EndChunk(out, start);
-
-  BeginChunk(ChunkType::kDatabase, out, &start);
-  EncodeDatabase(db, out);
-  EndChunk(out, start);
-
-  BeginChunk(ChunkType::kPartition, out, &start);
-  EncodePartition(tgm, out);
-  EndChunk(out, start);
-
-  BeginChunk(ChunkType::kTgmColumns, out, &start);
-  // Save-time column compaction: once mutations have left stale bits or
-  // tombstones behind, write exact recomputed columns instead of the live
-  // container state. A never-mutated index keeps the exact-container path
-  // (and stays byte-identical to what older builds wrote).
-  if (tgm.TotalDirt() > 0 || db.num_deleted() > 0) {
-    tgm.SerializeCompactedColumns(db, out);
-  } else {
-    tgm.SerializeColumns(out);
-  }
-  EndChunk(out, start);
-
-  if (!models.empty()) {
-    BeginChunk(ChunkType::kL2pModels, out, &start);
-    EncodeModels(models, out);
-    EndChunk(out, start);
-  }
-
-  BeginChunk(ChunkType::kEnd, out, &start);
-  EndChunk(out, start);
+uint32_t SnapshotVersionOf(const std::string& backend) {
+  if (backend == "les3" || backend == "disk_les3") return kSnapshotVersion;
+  if (backend == "sharded_les3") return kSnapshotVersionSharded;
+  return 0;
 }
 
-void EncodeShardedSnapshot(const SnapshotMeta& meta, const SetDatabase& db,
-                           const std::vector<const tgm::Tgm*>& shard_tgms,
-                           const std::vector<const SetDatabase*>& shard_dbs,
-                           ByteWriter* out) {
+void EncodeSnapshot(const SnapshotMeta& meta, const SetDatabase& db,
+                    const std::vector<const tgm::Tgm*>& shard_tgms,
+                    const std::vector<const SetDatabase*>& shard_dbs,
+                    const std::vector<l2p::CascadeModelSnapshot>& models,
+                    ByteWriter* out) {
+  const uint32_t version = SnapshotVersionOf(meta.backend);
+  LES3_CHECK_NE(version, 0u);
+  LES3_CHECK_EQ(shard_tgms.size(), shard_dbs.size());
+  LES3_CHECK(version == kSnapshotVersionSharded || shard_tgms.size() == 1);
   out->WriteBytes(kSnapshotMagic, sizeof(kSnapshotMagic));
-  out->WriteU32(kSnapshotVersionSharded);
+  out->WriteU32(version);
   out->WriteU32(db.num_deleted() > 0 ? kSnapshotFlagTombstones : 0u);
 
   SnapshotMeta filled = meta;
@@ -672,7 +327,7 @@ void EncodeShardedSnapshot(const SnapshotMeta& meta, const SetDatabase& db,
 
   size_t start = 0;
   BeginChunk(ChunkType::kMeta, out, &start);
-  EncodeMeta(filled, kSnapshotVersionSharded, out);
+  EncodeMeta(filled, version, out);
   EndChunk(out, start);
 
   BeginChunk(ChunkType::kDatabase, out, &start);
@@ -686,14 +341,24 @@ void EncodeShardedSnapshot(const SnapshotMeta& meta, const SetDatabase& db,
     EndChunk(out, start);
 
     BeginChunk(ChunkType::kTgmColumns, out, &start);
-    // Same compaction rule as EncodeSnapshot, per shard against its own
-    // local slice (the compactor walks local member ids).
+    // Save-time column compaction: once mutations have left stale bits or
+    // tombstones behind, write exact recomputed columns (against the
+    // shard's own local slice; the compactor walks local member ids)
+    // instead of the live container state. A never-mutated index keeps
+    // the exact-container path (and stays byte-identical to what older
+    // builds wrote).
     const SetDatabase& local = *shard_dbs[s];
     if (tgm->TotalDirt() > 0 || local.num_deleted() > 0) {
       tgm->SerializeCompactedColumns(local, out);
     } else {
       tgm->SerializeColumns(out);
     }
+    EndChunk(out, start);
+  }
+
+  if (version == kSnapshotVersion && !models.empty()) {
+    BeginChunk(ChunkType::kL2pModels, out, &start);
+    EncodeModels(models, out);
     EndChunk(out, start);
   }
 
@@ -722,27 +387,197 @@ Result<LoadedSnapshot> DecodeSnapshot(const void* data, size_t size) {
   if ((flags & ~kSnapshotFlagTombstones) != 0) {
     return Status::InvalidArgument("unsupported snapshot flags");
   }
-  const bool tombstones = (flags & kSnapshotFlagTombstones) != 0;
-  if (version == kSnapshotVersionSharded) {
-    return DecodeSnapshotV2(reader, tombstones);
+  const bool allow_tombstones = (flags & kSnapshotFlagTombstones) != 0;
+
+  LoadedSnapshot snapshot;
+  snapshot.version = version;
+  bool have_meta = false, have_db = false, have_models = false,
+       have_end = false;
+  SetDatabase db;
+  // Every shard is one PART chunk immediately followed by its TGMC chunk
+  // (a v1 file is the one-shard case). Column payloads are only stashed
+  // here (spans into the caller's buffer) — decoding waits until after the
+  // loop, when the DB chunk is certainly available to supply the set sizes
+  // the member order is re-derived from.
+  struct PendingShard {
+    std::vector<GroupId> assignment;
+    uint32_t num_groups = 0;
+    const uint8_t* columns_payload = nullptr;
+    uint64_t columns_len = 0;
+  };
+  std::vector<PendingShard> pending_shards;
+  bool have_pending_part = false;
+
+  while (!have_end) {
+    uint32_t type = 0;
+    uint64_t payload_len = 0;
+    const uint8_t* payload = nullptr;
+    LES3_RETURN_NOT_OK(NextChunk(&reader, &type, &payload, &payload_len));
+    ByteReader chunk(payload, payload_len);
+    auto mark_once = [&](bool* seen, const char* name) -> Status {
+      if (*seen) {
+        return Status::InvalidArgument(std::string("duplicate ") + name +
+                                       " chunk");
+      }
+      *seen = true;
+      return Status::OK();
+    };
+    switch (static_cast<ChunkType>(type)) {
+      case ChunkType::kMeta:
+        LES3_RETURN_NOT_OK(mark_once(&have_meta, "META"));
+        LES3_RETURN_NOT_OK(DecodeMeta(&chunk, version, &snapshot.meta));
+        break;
+      case ChunkType::kDatabase:
+        LES3_RETURN_NOT_OK(mark_once(&have_db, "DB"));
+        LES3_RETURN_NOT_OK(DecodeDatabase(&chunk, &db));
+        break;
+      case ChunkType::kPartition:
+        if (have_pending_part) {
+          return Status::InvalidArgument(
+              "PART chunk not followed by its shard's TGMC chunk");
+        }
+        pending_shards.emplace_back();
+        LES3_RETURN_NOT_OK(DecodePartition(
+            &chunk, allow_tombstones, &pending_shards.back().num_groups,
+            &pending_shards.back().assignment));
+        have_pending_part = true;
+        break;
+      case ChunkType::kTgmColumns:
+        if (!have_pending_part) {
+          return Status::InvalidArgument(
+              "TGMC chunk without a preceding PART chunk");
+        }
+        pending_shards.back().columns_payload = payload;
+        pending_shards.back().columns_len = payload_len;
+        have_pending_part = false;
+        break;
+      case ChunkType::kL2pModels:
+        // Only the single-index format carries a trained cascade (each
+        // shard would need its own); a v2 file carrying one is malformed.
+        if (version != kSnapshotVersion) {
+          return Status::InvalidArgument(
+              "sharded snapshots do not carry L2P chunks");
+        }
+        LES3_RETURN_NOT_OK(mark_once(&have_models, "L2P"));
+        LES3_RETURN_NOT_OK(DecodeModels(&chunk, &snapshot.models));
+        break;
+      case ChunkType::kEnd:
+        if (payload_len != 0) {
+          return Status::InvalidArgument("END chunk must be empty");
+        }
+        have_end = true;
+        break;
+      default:
+        // Unknown chunks are an error, not skippable: format changes bump
+        // the version, so an unknown type here is corruption.
+        return Status::InvalidArgument("unknown chunk type " +
+                                       std::to_string(type));
+    }
   }
-  return DecodeSnapshotV1(reader, tombstones);
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after the END chunk");
+  }
+  if (have_pending_part) {
+    return Status::InvalidArgument(
+        "PART chunk not followed by its shard's TGMC chunk");
+  }
+  if (!have_meta || !have_db || pending_shards.empty()) {
+    return Status::InvalidArgument(
+        "snapshot is missing a required chunk (META, DB, PART, TGMC)");
+  }
+
+  // Cross-chunk consistency: the backend against the header version, META
+  // against the DB chunk, the shard count against the PART/TGMC pairs (a
+  // v1 META has no count: it is 1), and every shard's shape against the
+  // deterministic id-mod-S split the engine will re-derive on open. META's
+  // shape fields are redundant with the payload chunks by construction; a
+  // disagreement means the file was stitched together or corrupted in a
+  // way the per-chunk CRCs cannot see.
+  if (SnapshotVersionOf(snapshot.meta.backend) != version) {
+    return Status::InvalidArgument(
+        "snapshot backend \"" + snapshot.meta.backend +
+        "\" does not write version " + std::to_string(version) + " snapshots");
+  }
+  if (db.empty()) {
+    return Status::InvalidArgument("snapshot contains an empty database");
+  }
+  if (snapshot.meta.num_sets != db.size() ||
+      snapshot.meta.num_tokens != db.num_tokens()) {
+    return Status::InvalidArgument(
+        "META shape disagrees with the DB chunk");
+  }
+  const uint32_t num_shards = snapshot.meta.num_shards;
+  if (num_shards != pending_shards.size()) {
+    return Status::InvalidArgument(
+        "META declares " + std::to_string(num_shards) +
+        " shards but the file holds " +
+        std::to_string(pending_shards.size()) + " PART/TGMC pairs");
+  }
+  uint64_t total_groups = 0;
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    PendingShard& pending = pending_shards[s];
+    uint64_t expected = ShardLocalCount(db.size(), s, num_shards);
+    if (pending.assignment.size() != expected) {
+      return Status::InvalidArgument(
+          "shard " + std::to_string(s) + " PART covers " +
+          std::to_string(pending.assignment.size()) + " sets; the id-mod-" +
+          std::to_string(num_shards) + " split assigns it " +
+          std::to_string(expected));
+    }
+    // Restore tombstones, mapping shard-local index l to global id l*S + s.
+    // The PART sentinel is the authority for which ids are deleted; the
+    // writer already dropped their tokens, and a sentinel entry that still
+    // carries tokens means the file was stitched together.
+    for (size_t l = 0; l < pending.assignment.size(); ++l) {
+      if (pending.assignment[l] != kInvalidGroup) continue;
+      const SetId gid = static_cast<SetId>(l * num_shards + s);
+      if (db.set_size(gid) != 0) {
+        return Status::InvalidArgument(
+            "tombstoned set " + std::to_string(gid) + " carries tokens");
+      }
+      db.DeleteSet(gid);
+    }
+    ByteReader columns(pending.columns_payload, pending.columns_len);
+    auto tgm = tgm::Tgm::Deserialize(std::move(pending.assignment),
+                                     pending.num_groups,
+                                     SliceSetSizes(db, s, num_shards),
+                                     &columns);
+    if (!tgm.ok()) {
+      return Status::FromCode(tgm.status().code(),
+                              "shard " + std::to_string(s) +
+                                  " TGMC chunk: " + tgm.status().message());
+    }
+    if (!columns.AtEnd()) {
+      return Status::InvalidArgument("trailing bytes in TGMC chunk");
+    }
+    ShardSnapshot shard{std::move(tgm).ValueOrDie()};
+    if (shard.tgm.num_token_columns() > db.num_tokens()) {
+      return Status::InvalidArgument(
+          "shard " + std::to_string(s) +
+          " TGMC chunk has more columns than the token universe");
+    }
+    if (shard.tgm.bitmap_backend() != snapshot.meta.bitmap_backend) {
+      return Status::InvalidArgument(
+          "META bitmap backend disagrees with the TGMC chunk");
+    }
+    total_groups += shard.tgm.num_groups();
+    snapshot.shards.push_back(std::move(shard));
+  }
+  if (total_groups != snapshot.meta.num_groups) {
+    return Status::InvalidArgument(
+        "META group count disagrees with the PART chunks");
+  }
+  snapshot.db = std::make_shared<SetDatabase>(std::move(db));
+  return snapshot;
 }
 
 Status SaveSnapshot(const std::string& path, const SnapshotMeta& meta,
-                    const SetDatabase& db, const tgm::Tgm& tgm,
+                    const SetDatabase& db,
+                    const std::vector<const tgm::Tgm*>& shard_tgms,
+                    const std::vector<const SetDatabase*>& shard_dbs,
                     const std::vector<l2p::CascadeModelSnapshot>& models) {
   ByteWriter writer;
-  EncodeSnapshot(meta, db, tgm, models, &writer);
-  return WriteFileBytes(path, writer.data());
-}
-
-Status SaveShardedSnapshot(const std::string& path, const SnapshotMeta& meta,
-                           const SetDatabase& db,
-                           const std::vector<const tgm::Tgm*>& shard_tgms,
-                           const std::vector<const SetDatabase*>& shard_dbs) {
-  ByteWriter writer;
-  EncodeShardedSnapshot(meta, db, shard_tgms, shard_dbs, &writer);
+  EncodeSnapshot(meta, db, shard_tgms, shard_dbs, models, &writer);
   return WriteFileBytes(path, writer.data());
 }
 

@@ -51,8 +51,9 @@ inline constexpr uint32_t kSnapshotVersion = 1;
 
 /// Sharded format version (shard/sharded_engine.h): same chunk framing,
 /// but the META chunk carries a shard count and the PART/TGMC pair repeats
-/// once per shard, in shard order. Version 1 files stay readable — the
-/// header version selects the decode path.
+/// once per shard, in shard order. A version 1 file is the one-shard case
+/// of this layout without the count (plus an optional L2P chunk), and one
+/// decoder reads both.
 inline constexpr uint32_t kSnapshotVersionSharded = 2;
 
 /// Highest version this build reads.
@@ -87,16 +88,15 @@ struct SnapshotMeta {
   uint32_t num_groups = 0;   // v2: summed over all shards
   uint64_t num_sets = 0;
   uint32_t num_tokens = 0;
-  uint32_t num_shards = 1;   // encoded (and > 1 only) in v2 files
+  uint32_t num_shards = 1;   // encoded only in v2 files; 1 for v1
 };
 
-/// One shard of a snapshot: the shard's partition over its local set ids
-/// plus its TGM, ready to query. Which global ids belong to the shard is
-/// not stored — it is the deterministic hash split (id mod num_shards),
-/// re-derived from the DB chunk on load. A v1 file is the one-shard case,
-/// whose local ids are the global ids.
+/// One shard of a snapshot: its TGM over the shard's local set ids, ready
+/// to query (the PART chunk lives on as tgm.group_assignment()). Which
+/// global ids belong to the shard is not stored — it is the deterministic
+/// hash split (id mod num_shards), re-derived from the DB chunk on load. A
+/// v1 file is the one-shard case, whose local ids are the global ids.
 struct ShardSnapshot {
-  std::vector<GroupId> assignment;  // per local set id
   tgm::Tgm tgm;
 };
 
@@ -112,43 +112,44 @@ struct LoadedSnapshot {
   std::vector<l2p::CascadeModelSnapshot> models;
 };
 
+/// The snapshot version a backend writes and reopens: 1 for "les3" and
+/// "disk_les3" (single index), 2 for "sharded_les3", 0 for any backend
+/// that has no snapshot. The encoder, the decoder's META check, and the
+/// api layer (EngineBuilder::Open, the engines' Save and Describe) all
+/// read this one mapping.
+uint32_t SnapshotVersionOf(const std::string& backend);
+
 /// Serializes one snapshot into `out` (exposed separately from the file
-/// writer so tests can inspect and corrupt the byte stream directly).
-/// `meta.num_sets` / `num_tokens` / `num_groups` are filled from `db` and
-/// `tgm`; callers set backend / measure / bitmap_backend.
+/// writer so tests can inspect and corrupt the byte stream directly): the
+/// global database plus one PART/TGMC pair per shard, in shard order.
+/// `shard_tgms[s]` is shard s's matrix over its local set ids and
+/// `shard_dbs[s]` the local slice it indexes (needed for save-time column
+/// compaction; with one shard the slice is the global database).
+/// `meta.backend` picks the version (SnapshotVersionOf): v2 writes the
+/// shard count into META; v1 takes exactly one shard and writes `models`
+/// as the L2P chunk when non-empty (v2 never writes one). The shape fields
+/// (num_sets / num_tokens / num_groups / num_shards) are filled from `db`
+/// and the shard matrices; callers set backend / measure / bitmap_backend.
 void EncodeSnapshot(const SnapshotMeta& meta, const SetDatabase& db,
-                    const tgm::Tgm& tgm,
+                    const std::vector<const tgm::Tgm*>& shard_tgms,
+                    const std::vector<const SetDatabase*>& shard_dbs,
                     const std::vector<l2p::CascadeModelSnapshot>& models,
                     ByteWriter* out);
 
-/// Serializes a sharded (version 2) snapshot: the global database plus
-/// one PART/TGMC pair per shard, in shard order. `shard_tgms[s]` is shard
-/// s's matrix over its local set ids and `shard_dbs[s]` the local slice
-/// it indexes (needed for save-time column compaction; with one shard the
-/// slice is the global database). `meta.num_shards` must equal
-/// `shard_tgms.size()`. Shape fields are filled from `db` and the shard
-/// matrices, as in EncodeSnapshot.
-void EncodeShardedSnapshot(const SnapshotMeta& meta, const SetDatabase& db,
-                           const std::vector<const tgm::Tgm*>& shard_tgms,
-                           const std::vector<const SetDatabase*>& shard_dbs,
-                           ByteWriter* out);
-
-/// Parses and fully validates a snapshot byte buffer (either version).
+/// Parses and fully validates a snapshot byte buffer of either version:
+/// exactly META.num_shards PART-then-TGMC pairs (one in v1), an L2P chunk
+/// only in v1, and a META backend whose SnapshotVersionOf is the header
+/// version.
 Result<LoadedSnapshot> DecodeSnapshot(const void* data, size_t size);
 
 /// EncodeSnapshot + crash-safe file write (WriteFileBytes: temp file,
 /// fsync, rename over `path`, directory fsync). On failure the previous
 /// file at `path` is untouched.
 Status SaveSnapshot(const std::string& path, const SnapshotMeta& meta,
-                    const SetDatabase& db, const tgm::Tgm& tgm,
+                    const SetDatabase& db,
+                    const std::vector<const tgm::Tgm*>& shard_tgms,
+                    const std::vector<const SetDatabase*>& shard_dbs,
                     const std::vector<l2p::CascadeModelSnapshot>& models);
-
-/// EncodeShardedSnapshot + the same crash-safe file write as
-/// SaveSnapshot.
-Status SaveShardedSnapshot(const std::string& path, const SnapshotMeta& meta,
-                           const SetDatabase& db,
-                           const std::vector<const tgm::Tgm*>& shard_tgms,
-                           const std::vector<const SetDatabase*>& shard_dbs);
 
 /// Reads the file and decodes it; all failure modes return a Status.
 Result<LoadedSnapshot> LoadSnapshot(const std::string& path);

@@ -129,15 +129,11 @@ std::unique_ptr<ShardedEngine> ShardedEngine::Build(
 }
 
 std::unique_ptr<ShardedEngine> ShardedEngine::FromSnapshot(
-    persist::LoadedSnapshot snapshot, const api::OpenOptions& options) {
+    persist::LoadedSnapshot snapshot, api::Backend backend,
+    const api::OpenOptions& options) {
   size_t num_shards = snapshot.shards.size();
-  // EngineBuilder::Open opens a v1 file only as les3 and a v2 file only
-  // as sharded_les3, so the version names the backend.
   std::unique_ptr<ShardedEngine> engine(new ShardedEngine(
-      snapshot.version == persist::kSnapshotVersion
-          ? api::Backend::kLes3
-          : api::Backend::kShardedLes3,
-      std::move(snapshot.db), num_shards, snapshot.meta.measure,
+      backend, std::move(snapshot.db), num_shards, snapshot.meta.measure,
       snapshot.meta.bitmap_backend, options.num_threads,
       /*from_snapshot=*/true));
   engine->l2p_models_ = std::move(snapshot.models);
@@ -424,10 +420,6 @@ Status ShardedEngine::Save(const std::string& path) const {
   meta.backend = api::ToString(backend_);
   meta.measure = measure_;
   meta.bitmap_backend = bitmap_backend_;
-  if (backend_ == api::Backend::kLes3) {
-    return persist::SaveSnapshot(path, meta, *global_db_,
-                                 shards_[0]->index->tgm(), l2p_models_);
-  }
   std::vector<const tgm::Tgm*> tgms;
   std::vector<const SetDatabase*> dbs;
   tgms.reserve(shards_.size());
@@ -436,7 +428,8 @@ Status ShardedEngine::Save(const std::string& path) const {
     tgms.push_back(&sh->index->tgm());
     dbs.push_back(sh->db.get());
   }
-  return persist::SaveShardedSnapshot(path, meta, *global_db_, tgms, dbs);
+  return persist::SaveSnapshot(path, meta, *global_db_, tgms, dbs,
+                               l2p_models_);
 }
 
 uint64_t ShardedEngine::IndexBytes() const {
@@ -467,9 +460,7 @@ std::string ShardedEngine::Describe() const {
   }
   if (from_snapshot_) {
     s += ", snapshot=v" +
-         std::to_string(backend_ == api::Backend::kLes3
-                            ? persist::kSnapshotVersion
-                            : persist::kSnapshotVersionSharded);
+         std::to_string(persist::SnapshotVersionOf(api::ToString(backend_)));
   }
   s += ")";
   {

@@ -42,8 +42,8 @@
 // slice is the global database, every query grid is one cell run on the
 // caller, and Save writes the v1 single-index format (with the trained
 // L2P cascade when it was kept). The backend name the engine was built or
-// opened as picks the snapshot version, the Describe() prefix, and
-// whether trained models are kept.
+// opened as picks the snapshot version (persist::SnapshotVersionOf), the
+// Describe() prefix, and whether trained models are kept.
 
 #ifndef LES3_SHARD_SHARDED_ENGINE_H_
 #define LES3_SHARD_SHARDED_ENGINE_H_
@@ -77,10 +77,13 @@ class ShardedEngine : public api::SearchEngine {
 
   /// Reconstructs the engine from a decoded snapshot — zero partitioning
   /// or training work; the decoder has already validated every shard's
-  /// shape against the id-mod-S split. A v1 snapshot opens as `les3`
-  /// (one shard, models carried over), a v2 one as `sharded_les3`.
+  /// shape against the id-mod-S split. `backend` is kLes3 for a v1
+  /// snapshot (one shard, models carried over) or kShardedLes3 for a v2
+  /// one; EngineBuilder::Open checks the pairing with
+  /// persist::SnapshotVersionOf.
   static std::unique_ptr<ShardedEngine> FromSnapshot(
-      persist::LoadedSnapshot snapshot, const api::OpenOptions& options);
+      persist::LoadedSnapshot snapshot, api::Backend backend,
+      const api::OpenOptions& options);
 
   /// Exact global kNN: the scatter grid with one query (see KnnBatch),
   /// stats.micros the measured wall time. Safe concurrently with Insert.
@@ -128,7 +131,8 @@ class ShardedEngine : public api::SearchEngine {
   /// (shard locks serialize the cycles). Never fails on this backend.
   Result<search::MaintenanceReport> MaintainNow() override;
 
-  /// Writes a v1 snapshot as `les3`, a v2 one as `sharded_les3`. Takes
+  /// Writes the snapshot version of the backend name (v1 as `les3`, with
+  /// the kept L2P models; v2 as `sharded_les3`). Takes
   /// every shard lock, so it is safe concurrently with queries and
   /// Inserts (they wait).
   Status Save(const std::string& path) const override;

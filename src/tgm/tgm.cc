@@ -424,7 +424,7 @@ void Tgm::SerializeCompactedColumns(const SetDatabase& db,
   }
 }
 
-Result<Tgm> Tgm::Deserialize(const std::vector<GroupId>& assignment,
+Result<Tgm> Tgm::Deserialize(std::vector<GroupId> assignment,
                              uint32_t num_groups,
                              const std::vector<uint32_t>& set_sizes,
                              persist::ByteReader* reader) {
@@ -442,9 +442,9 @@ Result<Tgm> Tgm::Deserialize(const std::vector<GroupId>& assignment,
   }
   Tgm tgm;
   tgm.members_.resize(num_groups);
-  tgm.group_of_ = assignment;
   for (SetId i = 0; i < assignment.size(); ++i) {
-    if (assignment[i] == kInvalidGroup) continue;  // tombstoned id (v3)
+    // A tombstoned id (header flag kSnapshotFlagTombstones) joins no group.
+    if (assignment[i] == kInvalidGroup) continue;
     if (assignment[i] >= num_groups) {
       return Status::OutOfRange(
           "assignment entry " + std::to_string(assignment[i]) +
@@ -452,6 +452,7 @@ Result<Tgm> Tgm::Deserialize(const std::vector<GroupId>& assignment,
     }
     tgm.members_[assignment[i]].push_back(i);
   }
+  tgm.group_of_ = std::move(assignment);
   tgm.OrderMembersBySize([&](SetId id) { return set_sizes[id]; });
   for (const auto& m : tgm.members_) tgm.nonempty_groups_ += !m.empty();
   tgm.group_dirt_.assign(num_groups, 0);

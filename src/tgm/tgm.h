@@ -257,13 +257,14 @@ class Tgm {
   /// columns. `set_sizes` holds the database's set sizes parallel to
   /// `assignment` (the decoder reads them off the already-loaded DB chunk)
   /// so membership lists come back in the same (size, id) order the
-  /// building constructor produces. A kInvalidGroup entry is a tombstoned
-  /// id (tombstone-flagged snapshots persist holes that way) and joins no
-  /// group; every
-  /// other assignment entry must be < `num_groups`, and every column value
-  /// must be < `num_groups` (membership arrays and count kernels index by
-  /// those values); malformed input returns a Status.
-  static Result<Tgm> Deserialize(const std::vector<GroupId>& assignment,
+  /// building constructor produces. The assignment becomes the matrix's
+  /// group_assignment() (an rvalue is moved in). A kInvalidGroup entry is a
+  /// tombstoned id (tombstone-flagged snapshots persist holes that way) and
+  /// joins no group; every other assignment entry must be < `num_groups`,
+  /// and every column value must be < `num_groups` (membership arrays and
+  /// count kernels index by those values); malformed input returns a
+  /// Status.
+  static Result<Tgm> Deserialize(std::vector<GroupId> assignment,
                                  uint32_t num_groups,
                                  const std::vector<uint32_t>& set_sizes,
                                  persist::ByteReader* reader);

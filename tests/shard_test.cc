@@ -320,7 +320,8 @@ TEST_F(ShardedSnapshotTest, ShardCountMismatchRejected) {
   tgms.pop_back();  // claim 2 shards' worth of chunks for a 3-shard split
   local_dbs.pop_back();
   persist::ByteWriter writer;
-  persist::EncodeShardedSnapshot(meta, global, tgms, local_dbs, &writer);
+  persist::EncodeSnapshot(meta, global, tgms, local_dbs, /*models=*/{},
+                          &writer);
   auto result =
       persist::DecodeSnapshot(writer.data().data(), writer.data().size());
   ASSERT_FALSE(result.ok());

@@ -856,6 +856,153 @@ TEST(SnapshotTombstoneTest, TombstonedSetWithTokensRejected) {
       << result.status().ToString();
 }
 
+// ---------------------------------------------------------------------------
+// Decoder chunk-order rules (docs/snapshot_format.md, "File layout"): one
+// decoder reads both versions, so a v1 file must be exactly the one-shard
+// PART-then-TGMC layout, L2P is v1-only, and the META backend must write
+// the header's version. Each stream below is stitched from the chunks of
+// real snapshots with every CRC recomputed, so only the rule under test
+// can reject it.
+
+struct RawChunk {
+  ChunkType type;
+  std::vector<uint8_t> payload;
+};
+
+std::vector<RawChunk> SplitChunks(const std::vector<uint8_t>& bytes) {
+  std::vector<RawChunk> chunks;
+  size_t off = 16;
+  while (off + 12 <= bytes.size()) {
+    const size_t len = ReadU32At(bytes, off + 4);  // high word is 0 here
+    const uint8_t* payload = bytes.data() + off + 12;
+    chunks.push_back({static_cast<ChunkType>(ReadU32At(bytes, off)),
+                      std::vector<uint8_t>(payload, payload + len)});
+    off += 12 + len + 4;
+  }
+  return chunks;
+}
+
+std::vector<uint8_t> JoinChunks(uint32_t version,
+                                const std::vector<RawChunk>& chunks) {
+  ByteWriter w;
+  w.WriteBytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+  w.WriteU32(version);
+  w.WriteU32(0);  // flags
+  for (const RawChunk& c : chunks) {
+    w.WriteU32(static_cast<uint32_t>(c.type));
+    w.WriteU64(c.payload.size());
+    w.WriteBytes(c.payload.data(), c.payload.size());
+    w.WriteU32(Crc32(c.payload.data(), c.payload.size()));
+  }
+  return w.data();
+}
+
+/// A META payload in the layout of `version` (the shard count is a v2
+/// field) claiming `backend`, with `meta`'s other fields.
+RawChunk MetaChunk(SnapshotMeta meta, const std::string& backend,
+                   uint32_t version) {
+  ByteWriter w;
+  w.WriteString(backend);
+  w.WriteU8(static_cast<uint8_t>(meta.measure));
+  w.WriteU8(static_cast<uint8_t>(meta.bitmap_backend));
+  w.WriteU32(meta.num_groups);
+  w.WriteU64(meta.num_sets);
+  w.WriteU32(meta.num_tokens);
+  if (version == kSnapshotVersionSharded) w.WriteU32(meta.num_shards);
+  return {ChunkType::kMeta, w.data()};
+}
+
+std::vector<uint8_t> SavedBytes(const std::string& backend,
+                                uint32_t num_shards) {
+  auto db = std::make_shared<SetDatabase>(MakeDb(90, 113));
+  auto options =
+      FastOptions(SimilarityMeasure::kJaccard, bitmap::BitmapBackend::kRoaring);
+  options.keep_l2p_models = true;  // v1 carries an L2P chunk
+  options.num_shards = num_shards;
+  auto built = api::EngineBuilder::Build(db, backend, options);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  std::string path = TempPath("rules_" + backend + ".snap");
+  EXPECT_TRUE(built.value()->Save(path).ok());
+  std::vector<uint8_t> bytes;
+  EXPECT_TRUE(ReadFileBytes(path, &bytes).ok());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+TEST(SnapshotDecoderRuleTest, MalformedChunkStreamsAreRejected) {
+  const std::vector<uint8_t> v1_bytes = SavedBytes("les3", 1);
+  const std::vector<uint8_t> v2_bytes = SavedBytes("sharded_les3", 3);
+  const std::vector<RawChunk> v1 = SplitChunks(v1_bytes);
+  const std::vector<RawChunk> v2 = SplitChunks(v2_bytes);
+  // META DB PART TGMC L2P END, and META DB (PART TGMC) x3 END.
+  ASSERT_EQ(v1.size(), 6u);
+  ASSERT_EQ(v1[4].type, ChunkType::kL2pModels);
+  ASSERT_EQ(v2.size(), 9u);
+  // Re-joining the untouched chunks reproduces a valid file.
+  ASSERT_EQ(JoinChunks(kSnapshotVersion, v1), v1_bytes);
+  ASSERT_EQ(JoinChunks(kSnapshotVersionSharded, v2), v2_bytes);
+  auto v1_decoded = DecodeSnapshot(v1_bytes.data(), v1_bytes.size());
+  auto v2_decoded = DecodeSnapshot(v2_bytes.data(), v2_bytes.size());
+  ASSERT_TRUE(v1_decoded.ok()) << v1_decoded.status().ToString();
+  ASSERT_TRUE(v2_decoded.ok()) << v2_decoded.status().ToString();
+
+  const RawChunk &meta1 = v1[0], &db1 = v1[1], &part1 = v1[2],
+                 &tgmc1 = v1[3], &l2p = v1[4], &end = v1[5];
+  std::vector<RawChunk> v2_last_tgmc_dropped = v2;
+  v2_last_tgmc_dropped.erase(v2_last_tgmc_dropped.end() - 2);
+  std::vector<RawChunk> v2_with_l2p = v2;
+  v2_with_l2p.insert(v2_with_l2p.end() - 1, l2p);
+  std::vector<RawChunk> v2_claims_les3 = v2;
+  v2_claims_les3[0] = MetaChunk(v2_decoded.value().meta, "les3",
+                                kSnapshotVersionSharded);
+  std::vector<RawChunk> v1_claims_sharded = v1;
+  v1_claims_sharded[0] = MetaChunk(v1_decoded.value().meta, "sharded_les3",
+                                   kSnapshotVersion);
+  ASSERT_EQ(MetaChunk(v1_decoded.value().meta, "les3", kSnapshotVersion)
+                .payload,
+            meta1.payload);
+  ASSERT_EQ(MetaChunk(v2_decoded.value().meta, "sharded_les3",
+                      kSnapshotVersionSharded)
+                .payload,
+            v2[0].payload);
+
+  struct Case {
+    const char* name;
+    uint32_t version;
+    std::vector<RawChunk> chunks;
+    const char* message;  // a substring of the expected error
+  };
+  const std::vector<Case> cases = {
+      {"v1 with two PART/TGMC pairs", kSnapshotVersion,
+       {meta1, db1, part1, tgmc1, part1, tgmc1, end},
+       "PART/TGMC pairs"},
+      {"v1 with TGMC before PART", kSnapshotVersion,
+       {meta1, db1, tgmc1, part1, end},
+       "without a preceding PART"},
+      {"v1 ending on a PART", kSnapshotVersion,
+       {meta1, db1, part1, end},
+       "not followed by its shard's TGMC"},
+      {"v2 ending on a PART", kSnapshotVersionSharded, v2_last_tgmc_dropped,
+       "not followed by its shard's TGMC"},
+      {"v2 with an L2P chunk", kSnapshotVersionSharded, v2_with_l2p,
+       "L2P"},
+      {"v1 header, META says sharded_les3", kSnapshotVersion,
+       v1_claims_sharded, "does not write version 1"},
+      {"v2 header, META says les3", kSnapshotVersionSharded, v2_claims_les3,
+       "does not write version 2"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<uint8_t> bytes = JoinChunks(c.version, c.chunks);
+    auto result = DecodeSnapshot(bytes.data(), bytes.size());
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find(c.message), std::string::npos)
+        << result.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace persist
 }  // namespace les3
