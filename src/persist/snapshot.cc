@@ -65,8 +65,9 @@ void EncodeDatabase(const SetDatabase& db, ByteWriter* out) {
 }
 
 /// Set sizes of the slice shard `s`'s Tgm covers, read off the decoded DB
-/// chunk: every S-th set starting at `s` (all sets when S is 1). Tgm::Deserialize uses them to re-derive
-/// the in-memory (size, id) member order — never persisted in the format.
+/// chunk: every S-th set starting at `s` (all sets when S is 1).
+/// Tgm::Deserialize uses them to re-derive the in-memory (size, id) member
+/// order — never persisted in the format.
 std::vector<uint32_t> SliceSetSizes(const SetDatabase& db, uint32_t s,
                                     uint32_t num_shards) {
   std::vector<uint32_t> sizes;

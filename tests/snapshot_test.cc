@@ -995,7 +995,8 @@ TEST(SnapshotDecoderRuleTest, MalformedChunkStreamsAreRejected) {
     SCOPED_TRACE(c.name);
     const std::vector<uint8_t> bytes = JoinChunks(c.version, c.chunks);
     auto result = DecodeSnapshot(bytes.data(), bytes.size());
-    ASSERT_FALSE(result.ok());
+    EXPECT_FALSE(result.ok());
+    if (result.ok()) continue;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
         << result.status().ToString();
     EXPECT_NE(result.status().message().find(c.message), std::string::npos)
